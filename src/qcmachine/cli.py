@@ -292,14 +292,14 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_collide(args) -> int:
+    if args.out in (None, "-"):
+        raise ConfigError("collide requires --out")
     params = _load_params(args.config)
     _require_format(args, "collide", ("csv",))
     ladder = _parse_tau_ladder(args.tau_ladder) if args.tau_ladder else DEFAULT_TAU_LADDER
     tau = ladder[0]
     rho0 = steady_state_analytic(params).rho if args.start == "steady" else 0.5 * np.eye(2, dtype=complex)
     trajectory = run(rho0, params, tau, args.collisions)
-    if args.out in (None, "-"):
-        raise ConfigError("collide requires --out")
     header = _header_lines(params, "collide", {
         "tau": _fmt(tau), "collisions": args.collisions, "start": args.start,
     })

@@ -28,6 +28,7 @@ from .linalg import (
     SIGMA_Z,
     hermitian_propagator,
     hermitize,
+    null_space_state,
     partial_trace,
     tensor_product,
     trace_distance,
@@ -36,7 +37,6 @@ from .linalg import (
 from .model import MachineParams, ancilla_state, coupling_strength
 
 DEFAULT_TAU_LADDER = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
-FIXED_POINT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,10 @@ def joint_hamiltonian(params: MachineParams, tau: float) -> np.ndarray:
     )
 
 
-def env_mutual_information(joint_env_state: np.ndarray) -> float:
-    """Mutual information I = S(rho_1) + S(rho_2) - S(rho_12) of a two-ancilla state."""
+def env_mutual_information(joint_env_state: np.ndarray) -> float | np.ndarray:
+    """Mutual information I = S(rho_1) + S(rho_2) - S(rho_12) of a two-ancilla state or a stack (..., 4, 4)."""
     joint_env_state = np.asarray(joint_env_state, dtype=complex)
-    if joint_env_state.shape != (4, 4):
+    if joint_env_state.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-ancilla state, got shape {joint_env_state.shape}")
     s1 = von_neumann_entropy(partial_trace(joint_env_state, (2, 2), (0,)))
     s2 = von_neumann_entropy(partial_trace(joint_env_state, (2, 2), (1,)))
@@ -176,41 +176,44 @@ def collide(rho_sys: np.ndarray, params: MachineParams, tau: float) -> tuple[np.
     return step.reduced_system(joint_post), step.ledger(rho_sys, joint_post)
 
 
+class _CollisionChannel:
+    """One collision as linear maps of the row-major vec(rho), from one joint evolution per basis matrix:
+    transfer (4x4) gives the post-collision vec(rho), energy (3x4) the ledger (d_e_sys, d_e_anc1,
+    d_e_anc2) and env (16x4) the vectorized post-collision two-ancilla state.
+    """
+
+    def __init__(self, params: MachineParams, tau: float):
+        step = _CollisionStep(params, tau)
+        basis = np.eye(4, dtype=complex).reshape(4, 2, 2)
+        joint_post = np.array([step.evolve(e) for e in basis])
+        delta = joint_post - np.array([tensor_product(e, step.env) for e in basis])
+        self.transfer = partial_trace(joint_post, (2, 2, 2), (0,)).reshape(4, 4).T
+        self.energy = np.einsum("hij,kji->hk", np.array([step.h_sys, step.h_anc1, step.h_anc2]), delta)
+        self.env = partial_trace(joint_post, (2, 2, 2), (1, 2)).reshape(4, 16).T
+
+
 def run(rho0: np.ndarray, params: MachineParams, tau: float, n_collisions: int) -> Trajectory:
     """Sequence of collisions with fresh ancillas; returns states and running totals."""
     if n_collisions < 1:
         raise ValueError(f"n_collisions must be >= 1, got {n_collisions}")
-    step = _CollisionStep(params, tau)
-    states = np.empty((n_collisions + 1, 2, 2), dtype=complex)
-    states[0] = np.asarray(rho0, dtype=complex)
-    heat1 = np.empty(n_collisions)
-    heat2 = np.empty(n_collisions)
-    work = np.empty(n_collisions)
-    mutual = np.empty(n_collisions)
-    q1 = q2 = w = 0.0
+    channel = _CollisionChannel(params, tau)
+    vecs = np.empty((n_collisions + 1, 4), dtype=complex)
+    vecs[0] = np.asarray(rho0, dtype=complex).reshape(4)
     for k in range(n_collisions):
-        joint_post = step.evolve(states[k])
-        ledger = step.ledger(states[k], joint_post)
-        states[k + 1] = step.reduced_system(joint_post)
-        q1 += ledger.heat1
-        q2 += ledger.heat2
-        w += ledger.work
-        heat1[k], heat2[k], work[k], mutual[k] = q1, q2, w, ledger.mutual_information
-    return Trajectory(tau=tau, states=states, heat1=heat1, heat2=heat2, work=work, mutual_information=mutual)
+        vecs[k + 1] = channel.transfer @ vecs[k]
+    d_sys, d_a1, d_a2 = (channel.energy @ vecs[:-1].T).real
+    mutual = env_mutual_information((vecs[:-1] @ channel.env.T).reshape(n_collisions, 4, 4))
+    return Trajectory(tau=tau, states=hermitize(vecs.reshape(n_collisions + 1, 2, 2)), heat1=np.cumsum(-d_a1),
+                      heat2=np.cumsum(-d_a2), work=np.cumsum(d_sys + d_a1 + d_a2), mutual_information=mutual)
 
 
-def discrete_fixed_point(
-    params: MachineParams, tau: float, tol: float = FIXED_POINT_TOL, max_collisions: int = 500_000
-) -> np.ndarray:
-    """Fixed point of the single-collision map, found by iteration from the maximally mixed state."""
-    step = _CollisionStep(params, tau)
-    rho = 0.5 * np.eye(2, dtype=complex)
-    for _ in range(max_collisions):
-        rho_next = step.reduced_system(step.evolve(rho))
-        if np.max(np.abs(rho_next - rho)) < tol:
-            return rho_next
-        rho = rho_next
-    raise NumericalError(f"collision map did not reach a fixed point within {max_collisions} steps at tau = {tau:g}")
+def discrete_fixed_point(params: MachineParams, tau: float) -> np.ndarray:
+    """Fixed point of the single-collision map: the null vector of T - I, T the transfer matrix.
+
+    NumericalError when the kernel gap is below KERNEL_GAP_MIN, as when T - I is rounding noise (tiny tau).
+    """
+    transfer = _CollisionChannel(params, tau).transfer
+    return null_space_state(transfer - np.eye(4), f"collision-map kernel at tau = {tau:g}")
 
 
 def convergence_to_steady_state(params: MachineParams, rho_ss: np.ndarray, tau_ladder) -> list[float]:

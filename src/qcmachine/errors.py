@@ -6,4 +6,4 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Numerical failure: non-convergence, degenerate kernel, trace drift (CLI exit code 3)."""
+    """Numerical failure: non-convergence, degenerate kernel (CLI exit code 3)."""

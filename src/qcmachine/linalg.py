@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
+
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 SUPPORT_TOL = 1e-10
 _LOG_CUTOFF = 1e-14
 MAX_DIM = 8
+KERNEL_GAP_MIN = 1e-8
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -24,14 +27,9 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a^dagger)/2, cleans tiny numerical asymmetries."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (a + a^dagger)/2 of a matrix or a stack (..., d, d); cleans tiny numerical asymmetries."""
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
@@ -73,14 +71,15 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def partial_trace(rho: np.ndarray, dims: list[int] | tuple[int, ...], keep) -> np.ndarray:
     """Reduced matrix over the subsystems listed in `keep` (original ordering).
 
-    `dims` lists the subsystem dimensions whose product must match rho.
+    `dims` lists the subsystem dimensions whose product must match the last two
+    axes of rho; leading axes index a stack of matrices, reduced one by one.
     """
     rho = np.asarray(rho, dtype=complex)
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
     total = int(np.prod(dims))
-    if rho.shape != (total, total):
+    if rho.shape[-2:] != (total, total):
         raise ValueError(f"dims {dims} imply dimension {total}, but rho has shape {rho.shape}")
     if isinstance(keep, int):
         keep = (keep,)
@@ -88,13 +87,14 @@ def partial_trace(rho: np.ndarray, dims: list[int] | tuple[int, ...], keep) -> n
     if any(k < 0 or k >= len(dims) for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
     n = len(dims)
-    reshaped = rho.reshape(dims + dims)
+    stack = rho.shape[:-2]
+    reshaped = rho.reshape(stack + dims + dims)
     # contract bra/ket index pairs of every traced-out subsystem
-    lhs = list(range(n)) + [n + i if i in keep else i for i in range(n)]
-    out = [i for i in keep] + [n + i for i in keep]
+    lhs = [Ellipsis] + list(range(n)) + [n + i if i in keep else i for i in range(n)]
+    out = [Ellipsis] + [i for i in keep] + [n + i for i in keep]
     reduced = np.einsum(reshaped, lhs, out)
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return reduced.reshape(d_keep, d_keep)
+    return reduced.reshape(stack + (d_keep, d_keep))
 
 
 def hermitian_propagator(h: np.ndarray, t: float) -> np.ndarray:
@@ -106,6 +106,36 @@ def hermitian_propagator(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring: degree-16 Taylor (remainder < 0.5^17/17! ~ 2e-20) on a/2^s, |a/2^s|_1 < 1/2.
+
+    Unlike an eigendecomposition it stays accurate for non-normal a (a generator near an exceptional point).
+    """
+    a = np.asarray(a, dtype=complex)
+    _, exponent = np.frexp(np.linalg.norm(a, 1))
+    squarings = max(0, int(exponent) + 1)
+    a = a / 2.0**squarings
+    out = term = np.eye(a.shape[0], dtype=complex)
+    for j in range(1, 17):
+        term = term @ a / j
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def null_space_state(superop: np.ndarray, what: str) -> np.ndarray:
+    """Unit-trace Hermitian 2x2 matrix spanning the kernel of a superoperator on row-major vec(rho).
+
+    The kernel must be one-dimensional: the second-smallest singular value has to clear KERNEL_GAP_MIN.
+    """
+    _, s, vh = np.linalg.svd(superop)
+    if s[-2] < KERNEL_GAP_MIN:
+        raise NumericalError(f"degenerate {what}: singular values {s[-1]:.3e}, {s[-2]:.3e} (floor {KERNEL_GAP_MIN:g})")
+    rho = vh.conj().T[:, -1].reshape(2, 2)
+    return hermitize(rho / np.trace(rho))
+
+
 def _clipped_spectrum(rho: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(hermitize(np.asarray(rho, dtype=complex)))
     if np.min(w) < EIGENVALUE_FLOOR:
@@ -113,11 +143,12 @@ def _clipped_spectrum(rho: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """S(rho) = -tr rho log rho in nats; eigenvalues below 1e-14 contribute zero."""
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
+    """S(rho) = -tr rho log rho in nats for a matrix or a stack (..., d, d); eigenvalues below 1e-14 contribute zero."""
     w = _clipped_spectrum(rho)
-    w = w[w > _LOG_CUTOFF]
-    return float(-np.sum(w * np.log(w)))
+    kept = w > _LOG_CUTOFF
+    s = -np.sum(np.where(kept, w * np.log(np.where(kept, w, 1.0)), 0.0), axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def relative_entropy(rho_prime: np.ndarray, rho: np.ndarray) -> float:

@@ -15,7 +15,8 @@ This is dissipation into a single effective bath with mean occupation
 n = (n1 + n2)/2 and decay rate gamma_eff = 2 gamma, driven by an effective
 coherence eps_eff e^{i phi} that lumps both reservoirs together. The steady
 state is known in closed form and is cross-checked here against a null-space
-solve of the vectorized generator.
+solve of the vectorized generator; states at finite times follow exactly from
+exp(L t) of the same 4x4 generator matrix L.
 """
 
 from __future__ import annotations
@@ -25,12 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
-from .linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, hermitize
+from .linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, expm, null_space_state
 from .model import MachineParams, thermal_occupation
-
-KERNEL_GAP_MIN = 1e-8
-TRACE_DRIFT_MAX = 1e-6
 
 
 @dataclass(frozen=True)
@@ -123,47 +120,13 @@ def steady_state_analytic(params: MachineParams) -> SteadyState:
 
 
 def steady_state_numeric(params: MachineParams) -> SteadyState:
-    """Steady state from the null vector of the vectorized generator.
-
-    The kernel must be one-dimensional: the second-smallest singular value has
-    to clear KERNEL_GAP_MIN, otherwise the parameters are flagged as degenerate.
-    """
-    mat = generator_matrix(params)
-    _, s, vh = np.linalg.svd(mat)
-    if s[-2] < KERNEL_GAP_MIN:
-        raise NumericalError(
-            f"degenerate generator kernel: singular values {s[-1]:.3e}, {s[-2]:.3e}"
-        )
-    rho = vh.conj().T[:, -1].reshape(2, 2)
-    rho = rho / np.trace(rho)
-    return SteadyState(rho=hermitize(rho), method="numeric")
+    """Steady state from the null vector of the vectorized generator; NumericalError if the kernel is degenerate."""
+    return SteadyState(rho=null_space_state(generator_matrix(params), "generator kernel"), method="numeric")
 
 
-def integrate(params: MachineParams, rho0: np.ndarray, t_final: float, dt: float | None = None) -> np.ndarray:
-    """Fixed-step RK4 integration of the master equation up to t_final.
-
-    The step must satisfy dt <= 0.01/gamma_eff; trace drift beyond
-    TRACE_DRIFT_MAX aborts the run.
-    """
-    if t_final < 0:
-        raise ValueError(f"t_final must be >= 0, got {t_final}")
-    rho = np.asarray(rho0, dtype=complex).copy()
-    if t_final == 0.0:
-        return rho
-    dt_max = 0.01 / (2.0 * params.gamma)
-    if dt is None:
-        dt = dt_max
-    if dt > dt_max * (1.0 + 1e-12):
-        raise ValueError(f"dt = {dt:g} exceeds the stability bound 0.01/gamma_eff = {dt_max:g}")
-    n_steps = max(1, int(math.ceil(t_final / dt)))
-    h = t_final / n_steps
-    for _ in range(n_steps):
-        k1 = generator_apply(params, rho)
-        k2 = generator_apply(params, rho + 0.5 * h * k1)
-        k3 = generator_apply(params, rho + 0.5 * h * k2)
-        k4 = generator_apply(params, rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        drift = abs(np.trace(rho) - 1.0)
-        if drift > TRACE_DRIFT_MAX:
-            raise NumericalError(f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_MAX:g}; reduce dt")
-    return rho
+def integrate(params: MachineParams, rho0: np.ndarray, t_final: float) -> np.ndarray:
+    """State at time t_final: exp(L t_final) applied to vec(rho0), L = generator_matrix(params)."""
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
+    vec = np.asarray(rho0, dtype=complex).reshape(4)
+    return (expm(generator_matrix(params) * t_final) @ vec).reshape(2, 2)

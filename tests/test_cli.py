@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qcmachine import cli
 from qcmachine.cli import main
 
 COLD_COHERENT = """\
@@ -167,6 +168,14 @@ def test_collide_command(cfg, tmp_path):
     assert len(data) == 51
     last = data[-1].split(",")
     assert float(last[1]) + float(last[2]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_collide_requires_out_before_computing(cfg, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("collide computed a trajectory without --out")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    assert main(["collide", "--config", cfg(COLD_COHERENT), "--collisions", "50"]) == 2
 
 
 def test_verify_command_passes(cfg, tmp_path):

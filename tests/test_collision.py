@@ -28,7 +28,7 @@ from qcmachine import (
 from qcmachine.collision import DEFAULT_TAU_LADDER
 from qcmachine.model import coupling_strength
 
-from conftest import random_machine, random_qubit_state
+from conftest import random_density_matrix, random_machine, random_qubit_state
 
 
 def thermal_qubit(n):
@@ -208,6 +208,34 @@ def test_fixed_point_is_collision_invariant(cold_coherence_params):
     assert np.max(np.abs(fp_next - fp)) < 1e-12
 
 
+def test_fixed_point_residual_at_slow_contraction(cold_coherence_params):
+    # the map contracts by only ~1 - 7e-3 per collision here, so a stopping rule on
+    # the step size would leave an error ~100x larger than the step
+    tau = 1.25e-3
+    fp = discrete_fixed_point(cold_coherence_params, tau)
+    fp_next, _ = collide(fp, cold_coherence_params, tau)
+    assert np.max(np.abs(fp_next - fp)) < 1e-15
+
+
+def test_discrete_fixed_point_rejects_vanishing_gap(cold_coherence_params):
+    # T - I is O(tau): at tau = 1e-12 its null space is not resolved
+    with pytest.raises(NumericalError, match="degenerate collision-map kernel"):
+        discrete_fixed_point(cold_coherence_params, 1e-12)
+
+
+def test_run_matches_chained_collisions(cold_coherence_params, rng):
+    tau, n = 0.01, 50
+    rho = random_qubit_state(rng)
+    traj = run(rho, cold_coherence_params, tau, n)
+    q1 = q2 = w = 0.0
+    for k in range(n):
+        rho, ledger = collide(rho, cold_coherence_params, tau)
+        q1, q2, w = q1 + ledger.heat1, q2 + ledger.heat2, w + ledger.work
+        np.testing.assert_allclose(traj.states[k + 1], rho, rtol=0, atol=1e-12)
+        np.testing.assert_allclose([traj.heat1[k], traj.heat2[k], traj.work[k]], [q1, q2, w], rtol=0, atol=1e-12)
+        assert traj.mutual_information[k] == pytest.approx(ledger.mutual_information, rel=0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # mutual information
 # ---------------------------------------------------------------------------
@@ -216,6 +244,17 @@ def test_mutual_information_product_state(rng):
     a = thermal_qubit(0.3)
     b = thermal_qubit(1.1)
     assert env_mutual_information(np.kron(a, b)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_stacked_entropy_and_mutual_information_match_per_matrix(rng):
+    stack = np.array([random_density_matrix(rng, 4) for _ in range(6)])
+    stack[0] = np.kron(thermal_qubit(0.3), thermal_qubit(1.1))
+    entropies = von_neumann_entropy(stack)
+    mutual = env_mutual_information(stack)
+    assert entropies.shape == mutual.shape == (6,)
+    for k, state in enumerate(stack):
+        assert entropies[k] == pytest.approx(von_neumann_entropy(state), rel=0, abs=1e-15)
+        assert mutual[k] == pytest.approx(env_mutual_information(state), rel=0, abs=1e-15)
 
 
 def test_mutual_information_correlated_state():

@@ -235,18 +235,28 @@ def test_integrate_preserves_trace(cold_coherence_params, rng):
     assert abs(np.trace(rho_t) - 1.0) < 1e-9
 
 
-def test_integrate_fourth_order(cold_coherence_params, rng):
-    rho0 = random_qubit_state(rng)
-    t = 0.4
-    coarse = integrate(cold_coherence_params, rho0, t, dt=0.004)
-    fine = integrate(cold_coherence_params, rho0, t, dt=0.002)
-    finest = integrate(cold_coherence_params, rho0, t, dt=0.001)
-    e1 = np.max(np.abs(coarse - finest))
-    e2 = np.max(np.abs(fine - finest))
-    # halving dt must shrink the endpoint error by roughly 2^4
-    assert e1 / e2 > 10.0
+def rk4_reference(params, rho0, t_final):
+    """Classical RK4 on the term-by-term generator with steps of 0.002/gamma_eff."""
+    n_steps = int(math.ceil(t_final * 2.0 * params.gamma / 0.002))
+    h = t_final / n_steps
+    rho = np.asarray(rho0, dtype=complex)
+    for _ in range(n_steps):
+        k1 = hand_expanded_generator(params, rho)
+        k2 = hand_expanded_generator(params, rho + 0.5 * h * k1)
+        k3 = hand_expanded_generator(params, rho + 0.5 * h * k2)
+        k4 = hand_expanded_generator(params, rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
 
 
-def test_integrate_rejects_large_dt(cold_coherence_params, rng):
-    with pytest.raises(ValueError, match="stability"):
-        integrate(cold_coherence_params, random_qubit_state(rng), t_final=1.0, dt=0.1)
+def test_integrate_matches_fine_step_rk4(cold_coherence_params, rng):
+    for p in (cold_coherence_params, random_machine(rng)):
+        rho0 = random_qubit_state(rng)
+        dev = np.max(np.abs(integrate(p, rho0, 0.5) - rk4_reference(p, rho0, 0.5)))
+        assert dev < 1e-10
+
+
+def test_integrate_rejects_negative_or_non_finite_time(cold_coherence_params, rng):
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_final"):
+            integrate(cold_coherence_params, random_qubit_state(rng), t)
