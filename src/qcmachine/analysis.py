@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import NumericalError
 from .lindblad import steady_state_analytic
-from .model import MachineParams, get_param, thermal_occupation, with_param
+from .model import MachineParams, as_optional, as_result, get_param, thermal_occupation, with_param
 from .thermo import ThermoReport, thermo_report
 
 DEFAULT_REGIME_RTOL = 1e-9
@@ -35,6 +35,8 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class RegimeLabel:
+    """Regime of one machine; over a grid, base is an object array of Regime and beyond_carnot a bool array."""
+
     base: Regime
     beyond_carnot: bool = False
 
@@ -42,36 +44,51 @@ class RegimeLabel:
         return self.base.value + ("'" if self.beyond_carnot else "")
 
 
+def _sign_table(rows: dict[tuple[int, int, int], Regime]) -> np.ndarray:
+    """27 regimes indexed by (s_W+1)*9 + (s_Q1+1)*3 + (s_Q2+1); triples not listed are Carnot points."""
+    table = np.full(27, Regime.CARNOT_POINT, dtype=object)
+    for (s_w, s_q1, s_q2), regime in rows.items():
+        table[(s_w + 1) * 9 + (s_q1 + 1) * 3 + (s_q2 + 1)] = regime
+    return table
+
+
 # sign triples (sgn W, sgn Q1, sgn Q2); +1 into the system / -1 out of it
-_TABLE_COLD_BATH_1 = {
+_TABLE_COLD_BATH_1 = _sign_table({
     (-1, -1, +1): Regime.ENGINE,
     (-1, +1, -1): Regime.HYBRID_REFRIGERATOR,
     (+1, -1, +1): Regime.ACCELERATOR,
     (+1, +1, -1): Regime.REFRIGERATOR,
-}
-_TABLE_HOT_BATH_1 = {
+})
+_TABLE_HOT_BATH_1 = _sign_table({
     (-1, +1, -1): Regime.ENGINE,
     (+1, +1, -1): Regime.ACCELERATOR,
     (+1, -1, +1): Regime.REFRIGERATOR,
-}
+})
 
 
 def _current_tolerance(params: MachineParams, rel_tol: float) -> float:
-    scale = params.gamma * max(params.B, params.bath1.B, params.bath2.B)
+    scale = params.gamma * np.maximum(np.maximum(params.B, params.bath1.B), params.bath2.B)
     return rel_tol * scale
 
 
-def _cold_hot(params: MachineParams):
-    """(cold bath, hot bath) by temperature; bath 1 is treated as cold on a tie."""
-    if params.bath1.T <= params.bath2.T:
-        return params.bath1, params.bath2
-    return params.bath2, params.bath1
+def _bath1_is_cold(params: MachineParams):
+    """Bath 1 is the cold bath, also on a temperature tie."""
+    return params.bath1.T <= params.bath2.T
+
+
+def _field_ratio_cop(params: MachineParams):
+    """B_cold/(B_other - B_cold) for every machine; infinite where B1 = B2."""
+    cold1 = _bath1_is_cold(params)
+    b_cold = np.where(cold1, params.bath1.B, params.bath2.B)
+    b_hot = np.where(cold1, params.bath2.B, params.bath1.B)
+    with np.errstate(divide="ignore"):
+        return as_result(b_cold / (b_hot - b_cold))
 
 
 def otto_efficiency(params: MachineParams) -> float:
     """Field-ratio engine efficiency 1 - min(B1,B2)/max(B1,B2)."""
     b1, b2 = params.bath1.B, params.bath2.B
-    return 1.0 - min(b1, b2) / max(b1, b2)
+    return as_result(1.0 - np.minimum(b1, b2) / np.maximum(b1, b2))
 
 
 def otto_cop(params: MachineParams) -> float:
@@ -80,40 +97,35 @@ def otto_cop(params: MachineParams) -> float:
     Negative in the hybrid regime (work flows out while cooling); infinite at
     B1 = B2 where refrigeration crosses into the hybrid regime.
     """
-    cold, hot = _cold_hot(params)
-    if hot.B == cold.B:
+    if np.any(params.bath1.B == params.bath2.B):
         raise ValueError("coefficient of performance diverges at B1 = B2")
-    return cold.B / (hot.B - cold.B)
+    return _field_ratio_cop(params)
 
 
 def classify(report: ThermoReport, params: MachineParams, rel_tol: float = DEFAULT_REGIME_RTOL) -> RegimeLabel:
-    """Operating regime from the signs of (W, Q1, Q2).
+    """Operating regime from the signs of (W, Q1, Q2), for one machine or a grid.
 
-    Currents below rel_tol * gamma * max(B, B1, B2) count as zero; if all three
-    vanish, or the sign triple matches no table row, the point is classified as
-    an (effective) Carnot point.
+    Currents below rel_tol * gamma * max(B, B1, B2) count as zero. A sign
+    triple that matches no table row, among them all three currents vanishing,
+    classifies the point as an (effective) Carnot point.
     """
     tol = _current_tolerance(params, rel_tol)
-    w, q1, q2 = report.w, report.q1, report.q2
-    if max(abs(w), abs(q1), abs(q2)) < tol:
-        return RegimeLabel(Regime.CARNOT_POINT)
-    signs = tuple(int(math.copysign(1.0, x)) if abs(x) >= tol else 0 for x in (w, q1, q2))
-    table = _TABLE_COLD_BATH_1 if params.bath1.T <= params.bath2.T else _TABLE_HOT_BATH_1
-    base = table.get(signs)
-    if base is None:
-        return RegimeLabel(Regime.CARNOT_POINT)
-    t_cold = min(params.bath1.T, params.bath2.T)
-    t_hot = max(params.bath1.T, params.bath2.T)
-    beyond = False
+    index = 0
+    for x, weight in ((report.w, 9), (report.q1, 3), (report.q2, 1)):
+        index = index + weight * (np.where(np.abs(x) >= tol, np.copysign(1.0, x), 0.0).astype(int) + 1)
+    cold1 = _bath1_is_cold(params)
+    base = np.where(cold1, _TABLE_COLD_BATH_1[index], _TABLE_HOT_BATH_1[index])
+    t_cold = np.minimum(params.bath1.T, params.bath2.T)
+    t_hot = np.maximum(params.bath1.T, params.bath2.T)
     # exact Otto-vs-Carnot ties (n1 = n2 boundary) must not flip on roundoff
     margin = 1.0 + 1e-12
-    if base is Regime.ENGINE:
-        eta_c = 1.0 - t_cold / t_hot
-        beyond = otto_efficiency(params) > eta_c * margin
-    elif base is Regime.REFRIGERATOR:
-        cop_c = t_cold / (t_hot - t_cold) if t_hot > t_cold else math.inf
-        beyond = otto_cop(params) > cop_c * margin
-    return RegimeLabel(base, beyond_carnot=beyond)
+    with np.errstate(divide="ignore"):
+        cop_c = np.where(t_hot > t_cold, t_cold / (t_hot - t_cold), np.inf)
+    beyond = ((base == Regime.ENGINE) & (otto_efficiency(params) > (1.0 - t_cold / t_hot) * margin)) | (
+        (base == Regime.REFRIGERATOR) & (_field_ratio_cop(params) > cop_c * margin))
+    if np.ndim(base) == 0:
+        return RegimeLabel(base.item(), bool(beyond))
+    return RegimeLabel(base, beyond)
 
 
 def reference_bounds(params: MachineParams) -> tuple[float, float, float]:
@@ -133,16 +145,15 @@ def epsilon_star(params: MachineParams) -> float | None:
 
         eps1* = sqrt(n2-n1) sqrt(B^2 + (1+n1+n2)^2 gamma^2) / sqrt((1+2n1)(1+n1+n2) gamma)
 
-    Zero at n1 = n2; None for n2 < n1, where V never crosses zero.
+    Zero at n1 = n2; None (NaN over a grid) for n2 < n1, where V never crosses zero.
     """
     n1 = thermal_occupation(params.bath1)
     n2 = thermal_occupation(params.bath2)
-    if n2 < n1:
-        return None
     big_n = 1.0 + n1 + n2
-    return math.sqrt(n2 - n1) * math.sqrt(params.B**2 + big_n**2 * params.gamma**2) / math.sqrt(
+    eps = np.sqrt(np.maximum(n2 - n1, 0.0)) * np.sqrt(params.B**2 + big_n**2 * params.gamma**2) / np.sqrt(
         (1.0 + 2.0 * n1) * big_n * params.gamma
     )
+    return as_optional(np.where(n2 < n1, np.nan, eps))
 
 
 def efficiency(params: MachineParams) -> float:
@@ -184,6 +195,8 @@ class AxisSpec:
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError(f"axis {self.key!r} needs at least 2 steps, got {self.steps}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"axis {self.key!r} needs finite bounds, got {self.start} and {self.stop}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -209,50 +222,70 @@ class SweepRecord:
 
 @dataclass
 class DiagramResult:
+    """A classified 2D grid: every field is an array of shape (axis1.steps, axis2.steps).
+
+    Figures of merit are NaN where they do not apply (efficiency outside the
+    engine regime, COP outside the two refrigerator regimes, the hybrid metrics
+    outside the hybrid refrigerator).
+    """
+
     axis1: AxisSpec
     axis2: AxisSpec
-    records: list[SweepRecord]
+    report: ThermoReport
+    label: RegimeLabel
+    efficiency: np.ndarray
+    cop: np.ndarray
+    hybrid_cooling_per_work: np.ndarray
+    hybrid_work_output: np.ndarray
     boundaries: dict[str, np.ndarray] = field(default_factory=dict)
 
+    @property
+    def records(self) -> list[SweepRecord]:
+        """The grid as one record per point, row-major (axis1 outer, axis2 inner)."""
+        v1, v2 = self.axis1.values(), self.axis2.values()
+        return [
+            SweepRecord(
+                axis1_value=float(v1[i]), axis2_value=float(v2[j]), report=self.report.at((i, j)),
+                label=RegimeLabel(self.label.base[i, j], bool(self.label.beyond_carnot[i, j])),
+                efficiency=as_optional(self.efficiency[i, j]), cop=as_optional(self.cop[i, j]),
+                hybrid_cooling_per_work=as_optional(self.hybrid_cooling_per_work[i, j]),
+                hybrid_work_output=as_optional(self.hybrid_work_output[i, j]),
+            )
+            for i in range(len(v1)) for j in range(len(v2))
+        ]
 
-def _figures_of_merit(params: MachineParams, report: ThermoReport, label: RegimeLabel):
-    eta = cop_val = h_cpw = h_w = None
-    if label.base is Regime.ENGINE:
-        eta = otto_efficiency(params)
-    elif label.base is Regime.REFRIGERATOR:
-        cop_val = otto_cop(params)
-    elif label.base is Regime.HYBRID_REFRIGERATOR:
-        cop_val = otto_cop(params)
-        cold, _ = _cold_hot(params)
-        q_cold = report.q1 if cold is params.bath1 else report.q2
-        h_cpw = abs(q_cold) / abs(report.w) if report.w != 0 else math.inf
-        h_w = -report.w
-    return eta, cop_val, h_cpw, h_w
 
+def sweep_diagram(params: MachineParams, axis1: AxisSpec, axis2: AxisSpec,
+                  rel_tol: float = DEFAULT_REGIME_RTOL) -> DiagramResult:
+    """Classify the steady state over a 2D parameter grid, in one array evaluation.
 
-def sweep_diagram(params: MachineParams, axis1: AxisSpec, axis2: AxisSpec) -> DiagramResult:
-    """Classify the steady state over a 2D parameter grid.
-
-    Records are emitted in row-major order (axis1 outer, axis2 inner). When
-    axis1 sweeps an ancilla field and axis2 sweeps bath1.epsilon, the three
-    analytic boundary curves are attached: the B1 = B2 line, the n1 = n2 line
-    and the locus eps1*(field) where V changes sign.
+    Row i, column j of every array is the machine at (axis1 value i, axis2 value
+    j); with the same key on both axes, axis2 wins. When axis1 sweeps an
+    ancilla field and axis2 sweeps bath1.epsilon, the three analytic boundary
+    curves are attached: the B1 = B2 line, the n1 = n2 line and the locus
+    eps1*(field) where V changes sign.
     """
-    records = []
-    for v1 in axis1.values():
-        p1 = with_param(params, axis1.key, v1)
-        for v2 in axis2.values():
-            p = with_param(p1, axis2.key, v2)
-            report = thermo_report(p, steady_state_analytic(p).rho)
-            label = classify(report, p)
-            eta, cop_val, h_cpw, h_w = _figures_of_merit(p, report, label)
-            records.append(SweepRecord(
-                axis1_value=float(v1), axis2_value=float(v2), report=report, label=label,
-                efficiency=eta, cop=cop_val,
-                hybrid_cooling_per_work=h_cpw, hybrid_work_output=h_w,
-            ))
-    return DiagramResult(axis1=axis1, axis2=axis2, records=records,
-                         boundaries=_boundary_series(params, axis1, axis2))
+    p = with_param(with_param(params, axis1.key, axis1.values()[:, None]), axis2.key, axis2.values()[None, :])
+    shape = (axis1.steps, axis2.steps)
+    report = thermo_report(p, steady_state_analytic(p).rho)
+    report = ThermoReport(**{f.name: np.broadcast_to(getattr(report, f.name), shape) for f in fields(report)})
+    label = classify(report, p, rel_tol)
+    base = np.broadcast_to(label.base, shape)
+    engine = base == Regime.ENGINE
+    hybrid = base == Regime.HYBRID_REFRIGERATOR
+    q_cold = np.where(_bath1_is_cold(p), report.q1, report.q2)
+    w = report.w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cooling_per_work = np.where(w != 0.0, np.abs(q_cold) / np.abs(w), np.inf)
+    return DiagramResult(
+        axis1=axis1, axis2=axis2, report=report,
+        label=RegimeLabel(base, np.broadcast_to(label.beyond_carnot, shape)),
+        efficiency=np.where(engine, otto_efficiency(p), np.nan),
+        cop=np.where(hybrid | (base == Regime.REFRIGERATOR), _field_ratio_cop(p), np.nan),
+        hybrid_cooling_per_work=np.where(hybrid, cooling_per_work, np.nan),
+        hybrid_work_output=np.where(hybrid, -w, np.nan),
+        boundaries=_boundary_series(params, axis1, axis2),
+    )
 
 
 def _boundary_series(params: MachineParams, axis1: AxisSpec, axis2: AxisSpec) -> dict[str, np.ndarray]:
@@ -276,12 +309,9 @@ def _boundary_series(params: MachineParams, axis1: AxisSpec, axis2: AxisSpec) ->
     out["n_equal"] = vertical(other_field * t_swept / t_other)
 
     xs = np.linspace(axis1.start, axis1.stop, 201)
-    pts = []
-    for x in xs:
-        eps = epsilon_star(with_param(params, axis1.key, x))
-        if eps is not None:
-            pts.append((x, eps))
-    out["epsilon_star"] = np.array(pts) if pts else np.empty((0, 2))
+    eps = epsilon_star(with_param(params, axis1.key, xs))
+    defined = ~np.isnan(eps)
+    out["epsilon_star"] = np.column_stack((xs[defined], eps[defined]))
     return out
 
 
@@ -300,25 +330,21 @@ class CurveResult:
     eta_at_max_power: float | None
 
 
-def power_efficiency_curve(params: MachineParams, axis: AxisSpec) -> CurveResult:
+def power_efficiency_curve(params: MachineParams, axis: AxisSpec,
+                           rel_tol: float = DEFAULT_REGIME_RTOL) -> CurveResult:
     """(efficiency, power) along a field sweep, keeping engine points only.
 
-    The maximum of the power output -W over the engine region is refined by
-    golden-section search between the neighbours of the best grid point.
+    The grid is one array evaluation. The maximum of the power output -W over
+    the engine region is refined by golden-section search between the
+    neighbours of the best grid point.
     """
     values = axis.values()
-    samples = []
-    engine_mask = []
-    outputs = []
-    for v in values:
-        p = with_param(params, axis.key, v)
-        report = thermo_report(p, steady_state_analytic(p).rho)
-        label = classify(report, p)
-        is_engine = label.base is Regime.ENGINE
-        engine_mask.append(is_engine)
-        outputs.append(-report.w)
-        if is_engine:
-            samples.append((float(v), otto_efficiency(p), report.w))
+    p = with_param(params, axis.key, values)
+    report = thermo_report(p, steady_state_analytic(p).rho)
+    engine = np.broadcast_to(classify(report, p, rel_tol).base == Regime.ENGINE, values.shape)
+    w = np.broadcast_to(report.w, values.shape)
+    eta = np.broadcast_to(otto_efficiency(p), values.shape)
+    samples = list(zip(values[engine].tolist(), eta[engine].tolist(), w[engine].tolist()))
     skipped = int(len(values) - len(samples))
     if not samples:
         return CurveResult(samples=[], skipped=skipped, field_at_max_power=None,
@@ -328,8 +354,7 @@ def power_efficiency_curve(params: MachineParams, axis: AxisSpec) -> CurveResult
         p = with_param(params, axis.key, v)
         return -thermo_report(p, steady_state_analytic(p).rho).w
 
-    engine_idx = [i for i, ok in enumerate(engine_mask) if ok]
-    best = max(engine_idx, key=lambda i: outputs[i])
+    best = int(np.argmax(np.where(engine, -w, -np.inf)))  # the first best engine point
     lo = values[max(best - 1, 0)]
     hi = values[min(best + 1, len(values) - 1)]
     v_star = _golden_max(output, float(lo), float(hi))

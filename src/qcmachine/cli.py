@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,7 @@ from .model import (
     with_param,
 )
 from .thermo import (
+    ThermoReport,
     coherence_rate_closed_form,
     common_factor_V,
     common_factor_V2,
@@ -61,11 +64,22 @@ from .thermo import (
     thermo_report,
 )
 
-_FLOAT_FMT = "{:.16e}"
+_FLOAT_FMT = "%.16e"
 
 
 def _fmt(x: float) -> str:
-    return _FLOAT_FMT.format(x)
+    return _FLOAT_FMT % x
+
+
+def _csv_rows(row: str, columns) -> str:
+    """CSV lines from equally long columns, formatted in one pass over a %-template of one row."""
+    rows = list(zip(*(np.ravel(c).tolist() for c in columns)))
+    return ((row + "\n") * len(rows)) % tuple(chain.from_iterable(rows))
+
+
+def _nullable(values) -> list:
+    """Array values as a list of floats, with NaN (undefined) as None, the JSON null."""
+    return [None if math.isnan(v) else v for v in np.ravel(values).tolist()]
 
 
 def _load_params(path: str) -> MachineParams:
@@ -98,7 +112,7 @@ def _json_payload(params: MachineParams, command: str, payload: dict) -> str:
         "params": params_to_mapping(params),
     }
     doc.update(payload)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _rho_dict(rho: np.ndarray) -> dict:
@@ -170,8 +184,6 @@ def _cmd_currents(args) -> int:
     report = thermo_report(params, rho)
     label = classify(report, params, rel_tol=args.tolerance)
     if fmt == "csv":
-        from .thermo import ThermoReport
-
         lines = [f"# {h}" for h in _header_lines(params, "currents", {
             "regime": label.base.value, "beyond_carnot": int(label.beyond_carnot),
         })]
@@ -190,38 +202,52 @@ def _cmd_currents(args) -> int:
     return 0
 
 
+_MERIT_COLUMNS = ("efficiency", "cop", "hybrid_cooling_per_work", "hybrid_work_output")
+
+
+def _diagram_columns(result) -> list[tuple[str, object]]:
+    """(name, values) of every per-point column of a diagram, row-major (axis1 outer, axis2 inner).
+
+    The two axis keys may coincide, so this is a list, not a dict.
+    """
+    a1, a2 = np.meshgrid(result.axis1.values(), result.axis2.values(), indexing="ij")
+    return [
+        (result.axis1.key, a1), (result.axis2.key, a2),
+        *((name, getattr(result.report, name)) for name in ThermoReport.CSV_COLUMNS),
+        ("regime", [r.value for r in result.label.base.ravel()]),
+        ("beyond_carnot", result.label.beyond_carnot),
+        *((name, getattr(result, name)) for name in _MERIT_COLUMNS),
+    ]
+
+
 def _diagram_csv(result, params) -> str:
     lines = [f"# {h}" for h in _header_lines(params, "diagram", {
         "grid1": f"{result.axis1.key}:{result.axis1.start:g}:{result.axis1.stop:g}:{result.axis1.steps}",
         "grid2": f"{result.axis2.key}:{result.axis2.start:g}:{result.axis2.stop:g}:{result.axis2.steps}",
     })]
-    from .thermo import ThermoReport
-
-    cols = [result.axis1.key, result.axis2.key, *ThermoReport.CSV_COLUMNS,
-            "regime", "beyond_carnot", "efficiency", "cop",
-            "hybrid_cooling_per_work", "hybrid_work_output"]
-    lines.append(",".join(cols))
-    for rec in result.records:
-        cells = [_fmt(rec.axis1_value), _fmt(rec.axis2_value), rec.report.to_csv_row(),
-                 rec.label.base.value, str(int(rec.label.beyond_carnot))]
-        for v in (rec.efficiency, rec.cop, rec.hybrid_cooling_per_work, rec.hybrid_work_output):
-            cells.append("nan" if v is None else _fmt(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    columns = _diagram_columns(result)
+    lines.append(",".join(name for name, _ in columns))
+    row = ",".join("%s" if name == "regime" else "%d" if name == "beyond_carnot" else _FLOAT_FMT
+                   for name, _ in columns)
+    return "\n".join(lines) + "\n" + _csv_rows(row, (values for _, values in columns))
 
 
-def _record_dict(rec) -> dict:
-    return {
-        "axis1_value": rec.axis1_value,
-        "axis2_value": rec.axis2_value,
-        "report": rec.report.to_dict(),
-        "regime": rec.label.base.value,
-        "beyond_carnot": rec.label.beyond_carnot,
-        "efficiency": rec.efficiency,
-        "cop": rec.cop,
-        "hybrid_cooling_per_work": rec.hybrid_cooling_per_work,
-        "hybrid_work_output": rec.hybrid_work_output,
-    }
+def _diagram_records(result) -> list[dict]:
+    (_, v1), (_, v2), *rest = _diagram_columns(result)
+    columns = dict(rest)
+    regimes, beyond = columns.pop("regime"), np.ravel(columns.pop("beyond_carnot")).tolist()
+    values = {name: _nullable(column) for name, column in columns.items()}
+    return [
+        {
+            "axis1_value": x1,
+            "axis2_value": x2,
+            "report": {name: values[name][k] for name in ThermoReport.CSV_COLUMNS},
+            "regime": regimes[k],
+            "beyond_carnot": beyond[k],
+            **{name: values[name][k] for name in _MERIT_COLUMNS},
+        }
+        for k, (x1, x2) in enumerate(zip(np.ravel(v1).tolist(), np.ravel(v2).tolist()))
+    ]
 
 
 def _cmd_diagram(args) -> int:
@@ -230,12 +256,12 @@ def _cmd_diagram(args) -> int:
     grids = [(_parse_grid(g)) for g in (args.grid or [])]
     if len(grids) != 2:
         raise ConfigError(f"diagram needs exactly two --grid specs, got {len(grids)}")
-    result = sweep_diagram(params, grids[0], grids[1])
+    result = sweep_diagram(params, grids[0], grids[1], rel_tol=args.tolerance)
     if fmt == "json":
         payload = {
             "axis1": {"key": result.axis1.key, "values": list(result.axis1.values())},
             "axis2": {"key": result.axis2.key, "values": list(result.axis2.values())},
-            "records": [_record_dict(r) for r in result.records],
+            "records": _diagram_records(result),
             "boundaries": {name: [[float(x), float(y)] for x, y in series]
                            for name, series in result.boundaries.items()},
         }
@@ -248,10 +274,9 @@ def _cmd_diagram(args) -> int:
     for name, series in result.boundaries.items():
         lines = [f"# {h}" for h in _header_lines(params, "diagram", {"boundary": name})]
         lines.append(f"{result.axis1.key},{result.axis2.key}")
-        for x, y in series:
-            lines.append(f"{_fmt(x)},{_fmt(y)}")
         overlay = base.with_name(base.stem + f".boundary_{name}" + base.suffix)
-        overlay.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        overlay.write_text("\n".join(lines) + "\n" + _csv_rows(f"{_FLOAT_FMT},{_FLOAT_FMT}", series.T),
+                           encoding="utf-8")
     return 0
 
 
@@ -261,7 +286,7 @@ def _cmd_curve(args) -> int:
     grids = [(_parse_grid(g)) for g in (args.grid or [])]
     if len(grids) != 1:
         raise ConfigError(f"curve needs exactly one --grid spec, got {len(grids)}")
-    result = power_efficiency_curve(params, grids[0])
+    result = power_efficiency_curve(params, grids[0], rel_tol=args.tolerance)
     if fmt == "json":
         payload = {
             "grid": {"key": grids[0].key, "values": list(grids[0].values())},
@@ -285,9 +310,8 @@ def _cmd_curve(args) -> int:
         extra["engine_region"] = "empty"
     lines = [f"# {h}" for h in _header_lines(params, "curve", extra)]
     lines.append(f"{grids[0].key},efficiency,w")
-    for field_value, eta, w in result.samples:
-        lines.append(f"{_fmt(field_value)},{_fmt(eta)},{_fmt(w)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    body = _csv_rows(f"{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT}", zip(*result.samples))
+    _write_text(args.out, "\n".join(lines) + "\n" + body)
     return 0
 
 
@@ -311,21 +335,27 @@ def _cmd_collide(args) -> int:
 # invariant suite
 # ---------------------------------------------------------------------------
 
-def _random_params(rng) -> MachineParams:
+def _random_params(rng, size=None) -> MachineParams:
+    """One random machine, or a grid of `size` machines in one MachineParams."""
+    def uniform(lo, hi):
+        return rng.uniform(lo, hi, size)
+
     return MachineParams(
-        B=rng.uniform(0.5, 2.0),
-        gamma=rng.uniform(0.5, 2.0),
-        bath1=BathSpec(T=rng.uniform(1.0, 5.0), B=rng.uniform(0.5, 2.0),
-                       epsilon=rng.uniform(0.0, 1.0), phi=rng.uniform(0.0, 2.0 * np.pi)),
-        bath2=BathSpec(T=rng.uniform(1.0, 5.0), B=rng.uniform(0.5, 2.0),
-                       epsilon=rng.uniform(0.0, 1.0), phi=rng.uniform(0.0, 2.0 * np.pi)),
+        B=uniform(0.5, 2.0),
+        gamma=uniform(0.5, 2.0),
+        bath1=BathSpec(T=uniform(1.0, 5.0), B=uniform(0.5, 2.0),
+                       epsilon=uniform(0.0, 1.0), phi=uniform(0.0, 2.0 * np.pi)),
+        bath2=BathSpec(T=uniform(1.0, 5.0), B=uniform(0.5, 2.0),
+                       epsilon=uniform(0.0, 1.0), phi=uniform(0.0, 2.0 * np.pi)),
     )
 
 
-def _random_state(rng) -> np.ndarray:
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho)
+def _random_state(rng, size=None) -> np.ndarray:
+    """One random qubit state, or a stack of `size` states."""
+    shape = (2, 2) if size is None else (size, 2, 2)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rho = g @ np.swapaxes(g.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
 
 
 def _strip_coherence(params: MachineParams, which=("bath1", "bath2")) -> MachineParams:
@@ -334,7 +364,17 @@ def _strip_coherence(params: MachineParams, which=("bath1", "bath2")) -> Machine
     return params
 
 
+def _common_factor_deviation(p: MachineParams, v) -> float:
+    """Worst relative deviation of the steady-state currents of a grid of machines from (B1, -B2, B2-B1) V."""
+    rep = thermo_report(p, steady_state_analytic(p).rho)
+    scale = np.maximum(np.maximum(np.abs(rep.q1), np.abs(rep.q2)), np.maximum(np.abs(rep.w), 1e-30))
+    dev = np.maximum(np.maximum(np.abs(rep.q1 - p.bath1.B * v), np.abs(rep.q2 + p.bath2.B * v)),
+                     np.abs(rep.w - (p.bath2.B - p.bath1.B) * v))
+    return float(np.max(dev / scale))
+
+
 def _verify_checks(params: MachineParams, seed: int):
+    """The fuzz checks of verify; the closed forms are checked on grids of random machines, one array call each."""
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -348,35 +388,16 @@ def _verify_checks(params: MachineParams, seed: int):
         worst = max(worst, float(dev))
     record("steady_state_agreement", worst < 1e-10, f"max entrywise deviation {worst:.3e} (tol 1e-10)")
 
-    worst = 0.0
-    for _ in range(100):
-        p = _strip_coherence(_random_params(rng), ("bath2",))
-        rho = steady_state_analytic(p).rho
-        rep = thermo_report(p, rho)
-        v = common_factor_V(p)
-        scale = max(abs(rep.q1), abs(rep.q2), abs(rep.w), 1e-30)
-        worst = max(worst, abs(rep.q1 - p.bath1.B * v) / scale,
-                    abs(rep.q2 + p.bath2.B * v) / scale,
-                    abs(rep.w - (p.bath2.B - p.bath1.B) * v) / scale)
+    p = _strip_coherence(_random_params(rng, 100), ("bath2",))
+    worst = _common_factor_deviation(p, common_factor_V(p))
     record("common_factor_single_coherence", worst < 1e-9, f"worst relative deviation {worst:.3e} (tol 1e-9)")
 
-    worst = 0.0
-    for _ in range(100):
-        p = _random_params(rng)
-        rho = steady_state_analytic(p).rho
-        rep = thermo_report(p, rho)
-        v = common_factor_V2(p)
-        scale = max(abs(rep.q1), abs(rep.q2), abs(rep.w), 1e-30)
-        worst = max(worst, abs(rep.q1 - p.bath1.B * v) / scale,
-                    abs(rep.q2 + p.bath2.B * v) / scale,
-                    abs(rep.w - (p.bath2.B - p.bath1.B) * v) / scale)
+    p = _random_params(rng, 100)
+    worst = _common_factor_deviation(p, common_factor_V2(p))
     record("common_factor_double_coherence", worst < 1e-9, f"worst relative deviation {worst:.3e} (tol 1e-9)")
 
-    worst = 0.0
-    for _ in range(1000):
-        p = _random_params(rng)
-        rep = thermo_report(p, _random_state(rng))
-        worst = max(worst, abs(rep.first_law_residual))
+    rep = thermo_report(_random_params(rng, 1000), _random_state(rng, 1000))
+    worst = float(np.max(np.abs(rep.first_law_residual)))
     record("first_law", worst < 1e-10, f"worst |U' - W - Q1 - Q2| = {worst:.3e} (tol 1e-10)")
 
     worst = 0.0
@@ -402,26 +423,17 @@ def _verify_checks(params: MachineParams, seed: int):
         worst = max(worst, float(np.max(np.abs(closed - traced))))
     record("trace_form_agreement", worst < 1e-10, f"worst closed-vs-trace deviation {worst:.3e} (tol 1e-10)")
 
-    bad = 0
-    low = 0.0
-    for _ in range(1000):
-        p = _strip_coherence(_random_params(rng), ("bath2",))
-        c1 = coherence_rate_closed_form(p, 1)
-        c2 = coherence_rate_closed_form(p, 2)
-        if c1 > 0 or c2 < 0:
-            bad += 1
-        r1, r2 = second_law_residuals(p, steady_state_analytic(p).rho)
-        low = min(low, r1, r2)
+    p = _strip_coherence(_random_params(rng, 1000), ("bath2",))
+    bad = int(np.count_nonzero((coherence_rate_closed_form(p, 1) > 0) | (coherence_rate_closed_form(p, 2) < 0)))
+    r1, r2 = second_law_residuals(p, steady_state_analytic(p).rho)
+    low = min(0.0, float(np.min(r1)), float(np.min(r2)))
     record("coherence_rate_signs", bad == 0, f"{bad}/1000 draws violate Cdot1<=0<=Cdot2")
     record("second_law_bound", low >= -1e-9, f"lowest residual {low:.3e} (floor -1e-9)")
 
-    violations = 0
-    for _ in range(1000):
-        p = _strip_coherence(_random_params(rng))
-        rep = thermo_report(p, steady_state_analytic(p).rho)
-        label = classify(rep, p)
-        if label.base in (Regime.REFRIGERATOR, Regime.ENGINE) and label.beyond_carnot:
-            violations += 1
+    p = _strip_coherence(_random_params(rng, 1000))
+    label = classify(thermo_report(p, steady_state_analytic(p).rho), p)
+    engine_or_fridge = (label.base == Regime.REFRIGERATOR) | (label.base == Regime.ENGINE)
+    violations = int(np.count_nonzero(engine_or_fridge & label.beyond_carnot))
     record("classical_consistency", violations == 0,
            f"{violations}/1000 coherence-free draws classified beyond the Carnot bound")
 

@@ -27,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, expm, null_space_state
-from .model import MachineParams, thermal_occupation
+from .model import MachineParams, as_result, thermal_occupation
 
 
 @dataclass(frozen=True)
 class EffectiveCoherence:
-    """Polar form of the lumped two-bath coherence driving the qubit."""
+    """Polar form of the lumped two-bath coherence driving the qubit (floats, or arrays over a grid)."""
 
     eps_eff: float
     phi: float
@@ -42,7 +42,7 @@ class EffectiveCoherence:
 
 @dataclass(frozen=True)
 class SteadyState:
-    rho: np.ndarray
+    rho: np.ndarray  # (2, 2), or a stack (..., 2, 2) over a grid of machines
     method: str  # "analytic" or "numeric"
 
 
@@ -52,12 +52,14 @@ def effective_coherence(params: MachineParams) -> EffectiveCoherence:
     n2 = thermal_occupation(params.bath2)
     n = 0.5 * (n1 + n2)
     z = (
-        params.bath1.epsilon * np.exp(1j * params.bath1.phi) * math.sqrt(1.0 + 2.0 * n1)
-        + params.bath2.epsilon * np.exp(1j * params.bath2.phi) * math.sqrt(1.0 + 2.0 * n2)
-    ) / (math.sqrt(2.0) * math.sqrt(1.0 + 2.0 * n))
-    eps_eff = abs(z)
-    phi = float(np.angle(z)) % (2.0 * math.pi) if eps_eff > 0.0 else 0.0
-    return EffectiveCoherence(eps_eff=eps_eff, phi=phi, gamma_eff=2.0 * params.gamma, n_avg=n)
+        params.bath1.epsilon * np.exp(1j * params.bath1.phi) * np.sqrt(1.0 + 2.0 * n1)
+        + params.bath2.epsilon * np.exp(1j * params.bath2.phi) * np.sqrt(1.0 + 2.0 * n2)
+    ) / (math.sqrt(2.0) * np.sqrt(1.0 + 2.0 * n))
+    eps_eff = np.abs(z)
+    phi = np.where(eps_eff > 0.0, np.mod(np.angle(z), 2.0 * math.pi), 0.0)
+    return EffectiveCoherence(eps_eff=as_result(eps_eff), phi=as_result(phi),
+                              gamma_eff=as_result(2.0 * params.gamma),
+                              n_avg=as_result(n))
 
 
 def hamiltonian_correction(params: MachineParams) -> np.ndarray:
@@ -104,6 +106,7 @@ def steady_state_analytic(params: MachineParams) -> SteadyState:
         rho_ee  = [4 B^2 n + g_e (1+2n)^2 (2 eps_eff^2 + n g_e)] / R
         rho_ge  = i eps_eff e^{i phi} sqrt(2 g_e (2n+1)) (2iB + (2n+1) g_e) / R
         R       = (2n+1) [4 B^2 + g_e (2n+1) (4 eps_eff^2 + (2n+1) g_e)].
+    Over a grid of machines rho is the stack (..., 2, 2) of the grid's shape.
     """
     eff = effective_coherence(params)
     n = eff.n_avg
@@ -112,10 +115,15 @@ def steady_state_analytic(params: MachineParams) -> SteadyState:
     r = (2.0 * n + 1.0) * (4.0 * params.B**2 + ge * (2.0 * n + 1.0) * (4.0 * e2 + (2.0 * n + 1.0) * ge))
     rho_ee = (4.0 * params.B**2 * n + ge * (1.0 + 2.0 * n) ** 2 * (2.0 * e2 + n * ge)) / r
     rho_ge = (
-        1j * eff.eps_eff * np.exp(1j * eff.phi) * math.sqrt(2.0 * ge * (2.0 * n + 1.0))
+        1j * eff.eps_eff * np.exp(1j * eff.phi) * np.sqrt(2.0 * ge * (2.0 * n + 1.0))
         * (2j * params.B + (2.0 * n + 1.0) * ge) / r
     )
-    rho = np.array([[rho_ee, np.conj(rho_ge)], [rho_ge, 1.0 - rho_ee]], dtype=complex)
+    rho_ee, rho_ge = np.broadcast_arrays(rho_ee, rho_ge)
+    rho = np.empty(rho_ee.shape + (2, 2), dtype=complex)
+    rho[..., 0, 0] = rho_ee
+    rho[..., 0, 1] = np.conj(rho_ge)
+    rho[..., 1, 0] = rho_ge
+    rho[..., 1, 1] = 1.0 - rho_ee
     return SteadyState(rho=rho, method="analytic")
 
 

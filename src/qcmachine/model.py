@@ -18,11 +18,35 @@ from .errors import ConfigError
 from .linalg import SIGMA_X, SIGMA_Y
 
 
+def as_result(x):
+    """A 0-d result as a Python float; a larger array as it is."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def as_optional(x):
+    """Like as_result, but a 0-d NaN (a value undefined at this point) becomes None."""
+    x = as_result(x)
+    return None if isinstance(x, float) and math.isnan(x) else x
+
+
+def _check(problems: list[str], name: str, value, rule: str, ok=None) -> None:
+    """Complain about the first element of value that is not finite or fails ok."""
+    value = np.asarray(value, dtype=float)
+    good = np.isfinite(value) if ok is None else np.isfinite(value) & ok(value)
+    if not good.all():
+        problems.append(f"{name} must be {rule}, got {float(value[~good][0])}")
+
+
+def _positive(x):
+    return x > 0
+
+
 @dataclass(frozen=True)
 class BathSpec:
     """One reservoir: temperature T, ancilla field B, coherence amplitude and phase.
 
-    The phase is stored modulo 2*pi.
+    Fields are floats or broadcastable arrays (a grid of baths), validated
+    element-wise. The phase is stored modulo 2*pi.
     """
 
     T: float
@@ -34,22 +58,27 @@ class BathSpec:
         problems = self.violations()
         if problems:
             raise ConfigError("invalid bath: " + "; ".join(problems))
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
+        object.__setattr__(self, "phi", as_result(np.mod(np.asarray(self.phi, dtype=float), 2.0 * math.pi)))
 
     def violations(self) -> list[str]:
         out = []
-        if not self.T > 0:
-            out.append(f"T must be > 0, got {self.T}")
-        if not self.B > 0:
-            out.append(f"B must be > 0, got {self.B}")
-        if self.epsilon < 0:
-            out.append(f"epsilon must be >= 0, got {self.epsilon}")
+        _check(out, "T", self.T, "finite and > 0", _positive)
+        _check(out, "B", self.B, "finite and > 0", _positive)
+        _check(out, "epsilon", self.epsilon, "finite and >= 0", lambda x: x >= 0)
+        _check(out, "phi", self.phi, "finite")
+        if not out:
+            # B/T so small that 2B/T underflows: the occupation overflows to inf
+            with np.errstate(divide="ignore", over="ignore"):
+                _check(out, "thermal occupation 1/(exp(2B/T) - 1)", thermal_occupation(self), "finite")
         return out
 
 
 @dataclass(frozen=True)
 class MachineParams:
-    """Full machine configuration: system field B, shared collision rate gamma, two baths."""
+    """Full machine configuration: system field B, shared collision rate gamma, two baths.
+
+    Like the bath fields, B and gamma may be broadcastable arrays.
+    """
 
     B: float
     gamma: float
@@ -58,10 +87,8 @@ class MachineParams:
 
     def __post_init__(self):
         problems = []
-        if not self.B > 0:
-            problems.append(f"B must be > 0, got {self.B}")
-        if not self.gamma > 0:
-            problems.append(f"gamma must be > 0, got {self.gamma}")
+        _check(problems, "B", self.B, "finite and > 0", _positive)
+        _check(problems, "gamma", self.gamma, "finite and > 0", _positive)
         if problems:
             raise ConfigError("invalid machine parameters: " + "; ".join(problems))
 
@@ -77,9 +104,9 @@ def thermal_occupation(bath: BathSpec) -> float:
     so that n/(n+1) = exp(-2 B_i / T_i) (local detailed balance).
     """
     x = 2.0 * bath.B / bath.T
-    if x > 700.0:  # exp would overflow; the occupation is zero to double precision anyway
-        return 0.0
-    return 1.0 / math.expm1(x)
+    # beyond x = 700 exp would overflow and the occupation is zero to double precision anyway:
+    # the mask divides as 1 or 0 (a np.where costs more per scalar call)
+    return as_result((x <= 700.0) / np.expm1(np.minimum(x, 700.0)))
 
 
 def dissipation_rates(bath: BathSpec, gamma: float) -> tuple[float, float]:
@@ -90,7 +117,7 @@ def dissipation_rates(bath: BathSpec, gamma: float) -> tuple[float, float]:
 
 def coupling_strength(bath: BathSpec, gamma: float) -> float:
     """System-ancilla coupling g = sqrt(2 gamma (2n + 1))."""
-    return math.sqrt(2.0 * gamma * (2.0 * thermal_occupation(bath) + 1.0))
+    return as_result(np.sqrt(2.0 * gamma * (2.0 * thermal_occupation(bath) + 1.0)))
 
 
 def gibbs_populations(bath: BathSpec) -> tuple[float, float]:
@@ -157,14 +184,18 @@ def get_param(params: MachineParams, key: str) -> float:
     return float(obj)
 
 
-def with_param(params: MachineParams, key: str, value: float) -> MachineParams:
-    """Copy of params with one scalar field replaced, addressed by dotted key."""
+def with_param(params: MachineParams, key: str, value) -> MachineParams:
+    """Copy of params with one field replaced, addressed by dotted key.
+
+    The value is a float or an array; an array turns params into a grid of machines.
+    """
     if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown parameter key {key!r}; valid keys: {', '.join(CONFIG_KEYS)}")
+    value = as_result(np.asarray(value, dtype=float))
     parts = key.split(".")
     if len(parts) == 1:
-        return replace(params, **{key: float(value)})
-    bath = replace(getattr(params, parts[0]), **{parts[1]: float(value)})
+        return replace(params, **{key: value})
+    bath = replace(getattr(params, parts[0]), **{parts[1]: value})
     return replace(params, **{parts[0]: bath})
 
 

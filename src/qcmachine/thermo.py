@@ -22,15 +22,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .lindblad import generator_apply
 from .model import (
     BathSpec,
     MachineParams,
+    as_optional,
+    as_result,
     coupling_strength,
     gibbs_populations,
     thermal_occupation,
@@ -39,22 +40,28 @@ from .model import (
 FIRST_LAW_TOL = 1e-10
 
 
+def _entries(rho: np.ndarray):
+    """(rho_ee, rho_eg, rho_ge, rho_gg) of a state or of a stack (..., 2, 2)."""
+    rho = np.asarray(rho, dtype=complex)
+    return rho[..., 0, 0], rho[..., 0, 1], rho[..., 1, 0], rho[..., 1, 1]
+
+
 def heat_currents(params: MachineParams, rho: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
     """Per-bath (coherent, incoherent) heat currents for an arbitrary qubit state.
 
     Bath i with occupation n_i and coupling g_i = sqrt(2 gamma (1+2 n_i)):
         Qdot_i_coh = 2 i eps_i B_i g_i (e^{i phi_i} rho_eg - e^{-i phi_i} rho_ge)
         Qdot_i_inc = -4 B_i gamma [rho_ee + n_i (rho_ee - rho_gg)]
+    params and rho may be a grid of machines and a stack of states; the currents broadcast.
     """
-    rho = np.asarray(rho, dtype=complex)
-    r_ee, r_eg, r_ge, r_gg = rho[0, 0], rho[0, 1], rho[1, 0], rho[1, 1]
+    r_ee, r_eg, r_ge, r_gg = _entries(rho)
     out = []
     for bath in params.baths:
         n = thermal_occupation(bath)
         g = coupling_strength(bath, params.gamma)
         coh = 2j * bath.epsilon * bath.B * g * (np.exp(1j * bath.phi) * r_eg - np.exp(-1j * bath.phi) * r_ge)
         inc = -4.0 * bath.B * params.gamma * (r_ee + n * (r_ee - r_gg))
-        out.append((float(coh.real), float(inc.real)))
+        out.append((as_result(coh.real), as_result(inc.real)))
     return out[0], out[1]
 
 
@@ -67,22 +74,35 @@ def power(params: MachineParams, rho: np.ndarray) -> tuple[float, float]:
     The collisional term exists only off resonance (B != B_i): it measures the
     energy cost of an interaction that does not conserve the local energy.
     """
-    rho = np.asarray(rho, dtype=complex)
-    r_ee, r_eg, r_ge, r_gg = rho[0, 0], rho[0, 1], rho[1, 0], rho[1, 1]
+    r_ee, r_eg, r_ge, r_gg = _entries(rho)
     w_coh = 0.0
     w_col = 0.0
     for bath in params.baths:
         n = thermal_occupation(bath)
         g = coupling_strength(bath, params.gamma)
         detune = params.B - bath.B
-        w_coh += float((2j * bath.epsilon * detune * g * (np.exp(1j * bath.phi) * r_eg - np.exp(-1j * bath.phi) * r_ge)).real)
-        w_col += float((-4.0 * params.gamma * detune * ((1.0 + n) * r_ee - n * r_gg)).real)
-    return w_coh, w_col
+        w_coh += (2j * bath.epsilon * detune * g * (np.exp(1j * bath.phi) * r_eg - np.exp(-1j * bath.phi) * r_ge)).real
+        w_col += (-4.0 * params.gamma * detune * ((1.0 + n) * r_ee - n * r_gg)).real
+    return as_result(w_coh), as_result(w_col)
 
 
 def internal_energy_rate(params: MachineParams, rho: np.ndarray) -> float:
-    """d<H_S>/dt = tr(H_S drho/dt), evaluated through the master-equation generator."""
-    return float(np.trace(params.B * SIGMA_Z @ generator_apply(params, rho)).real)
+    """d<H_S>/dt = tr(H_S drho/dt) of the master equation, in closed form.
+
+    With N = 1 + n1 + n2 and the coherent drive c = sum_i sqrt(2 gamma) eps_i sqrt(2 n_i + 1) e^{-i phi_i},
+        Udot = 2B [2 Im(c rho_ge) - 2 gamma (N+1) rho_ee + 2 gamma (N-1) rho_gg].
+    Independent of the current closed forms, so U' = W + Q1 + Q2 is a real check.
+    """
+    r_ee, _, r_ge, r_gg = _entries(rho)
+    n1 = thermal_occupation(params.bath1)
+    n2 = thermal_occupation(params.bath2)
+    big_n = 1.0 + n1 + n2
+    c = sum(np.sqrt(2.0 * params.gamma) * bath.epsilon * np.sqrt(2.0 * n + 1.0) * np.exp(-1j * bath.phi)
+            for bath, n in zip(params.baths, (n1, n2)))
+    g = params.gamma
+    u_dot = 2.0 * params.B * (2.0 * (c * r_ge).imag - 2.0 * g * (big_n + 1.0) * r_ee.real
+                              + 2.0 * g * (big_n - 1.0) * r_gg.real)
+    return as_result(u_dot)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +173,7 @@ def common_factor_V(params: MachineParams) -> float:
         V = 2 gamma [B^2 (n1-n2) + gamma N ((n1-n2) N gamma + (1+2 n1) eps1^2)]
             / (N [B^2 + N^2 gamma^2 + (1+2 n1) gamma eps1^2])
     """
-    if params.bath2.epsilon != 0.0:
+    if np.any(params.bath2.epsilon != 0.0):
         raise ValueError("common_factor_V requires eps2 = 0; use common_factor_V2 instead")
     n1 = thermal_occupation(params.bath1)
     n2 = thermal_occupation(params.bath2)
@@ -162,7 +182,7 @@ def common_factor_V(params: MachineParams) -> float:
     e2 = params.bath1.epsilon**2
     num = params.B**2 * (n1 - n2) + g * big_n * ((n1 - n2) * big_n * g + (1.0 + 2.0 * n1) * e2)
     den = big_n * (params.B**2 + big_n**2 * g**2 + (1.0 + 2.0 * n1) * g * e2)
-    return 2.0 * g * num / den
+    return as_result(2.0 * g * num / den)
 
 
 def common_factor_V2(params: MachineParams) -> float:
@@ -180,18 +200,18 @@ def common_factor_V2(params: MachineParams) -> float:
     big_n = 1.0 + n1 + n2
     e1, e2 = params.bath1.epsilon, params.bath2.epsilon
     delta = params.bath1.phi - params.bath2.phi
-    k = math.sqrt((1.0 + 2.0 * n1) * (1.0 + 2.0 * n2))
+    k = np.sqrt((1.0 + 2.0 * n1) * (1.0 + 2.0 * n2))
     num = (
         params.B**2 * (n1 - n2)
         + g * big_n * ((n1 - n2) * big_n * g + (1.0 + 2.0 * n1) * e1**2 - (1.0 + 2.0 * n2) * e2**2)
-        + 2.0 * params.B * e1 * e2 * k * math.sin(delta)
+        + 2.0 * params.B * e1 * e2 * k * np.sin(delta)
     )
     den = big_n * (
         params.B**2 + big_n**2 * g**2
         + (1.0 + 2.0 * n1) * g * e1**2 + (1.0 + 2.0 * n2) * g * e2**2
-        + 2.0 * g * e1 * e2 * k * math.cos(delta)
+        + 2.0 * g * e1 * e2 * k * np.cos(delta)
     )
-    return 2.0 * g * num / den
+    return as_result(2.0 * g * num / den)
 
 
 def equivalent_single_bath_coherence(params: MachineParams) -> float:
@@ -238,10 +258,15 @@ def coherence_rate_closed_form(params: MachineParams, bath_index: int) -> float:
 
     with e = eps1, b_i = 1/T_i, N = 1+n1+n2 and D = B^2 + g^2 N^2 + e^2 g (1+2n1).
     """
-    if params.bath2.epsilon != 0.0:
+    if np.any(params.bath2.epsilon != 0.0):
         raise ValueError("coherence rate closed forms require eps2 = 0")
     if bath_index not in (1, 2):
         raise ValueError(f"bath_index must be 1 or 2, got {bath_index}")
+    return as_result(_coherence_rates(params)[bath_index - 1])
+
+
+def _coherence_rates(params: MachineParams):
+    """(Cdot_1, Cdot_2) of coherence_rate_closed_form, evaluated whatever eps2 is."""
     n1 = thermal_occupation(params.bath1)
     n2 = thermal_occupation(params.bath2)
     g = params.gamma
@@ -249,10 +274,10 @@ def coherence_rate_closed_form(params: MachineParams, bath_index: int) -> float:
     big_n = 1.0 + n1 + n2
     s0 = params.B**2 + g**2 * big_n**2
     d = s0 + e2 * g * (1.0 + 2.0 * n1)
-    if bath_index == 1:
-        bracket = (2.0 * big_n**2 - 1.0) * s0 + 2.0 * e2 * g * (1.0 + 2.0 * n1) * big_n**2
-        return -2.0 * params.bath1.B / params.bath1.T * e2 * g**2 * (1.0 + 2.0 * n1) * bracket / (big_n**2 * d**2)
-    return 2.0 * params.bath2.B / params.bath2.T * e2 * g**2 * (1.0 + 2.0 * n1) * s0 / (big_n**2 * d**2)
+    bracket = (2.0 * big_n**2 - 1.0) * s0 + 2.0 * e2 * g * (1.0 + 2.0 * n1) * big_n**2
+    c1 = -2.0 * params.bath1.B / params.bath1.T * e2 * g**2 * (1.0 + 2.0 * n1) * bracket / (big_n**2 * d**2)
+    c2 = 2.0 * params.bath2.B / params.bath2.T * e2 * g**2 * (1.0 + 2.0 * n1) * s0 / (big_n**2 * d**2)
+    return c1, c2
 
 
 def second_law_residuals(params: MachineParams, rho_ss: np.ndarray) -> tuple[float, float]:
@@ -277,8 +302,9 @@ class ThermoReport:
     """All currents of one machine state, with the coherent/incoherent and
     coherent/collisional splits and the local second-law residuals.
 
-    The coherence rates and residuals use steady-state closed forms that only
-    exist for single-bath coherence; they are None when eps2 != 0.
+    Fields are floats, or arrays over a grid of machines. The coherence rates
+    and residuals use steady-state closed forms that only exist for
+    single-bath coherence; where eps2 != 0 they are None (NaN in an array).
     """
 
     q1_coh: float
@@ -315,6 +341,10 @@ class ThermoReport:
     def first_law_residual(self) -> float:
         return self.u_dot - self.w - self.q1 - self.q2
 
+    def at(self, index) -> ThermoReport:
+        """The report of one machine of a grid report."""
+        return ThermoReport(**{f.name: as_optional(getattr(self, f.name)[index]) for f in fields(self)})
+
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.CSV_COLUMNS}
 
@@ -330,17 +360,18 @@ class ThermoReport:
 
 
 def thermo_report(params: MachineParams, rho: np.ndarray) -> ThermoReport:
-    """Evaluate every current at the given state (closed forms throughout)."""
+    """Evaluate every current at the given state (closed forms throughout).
+
+    params and rho may be a grid of machines and a stack of states (..., 2, 2).
+    """
     (q1_coh, q1_inc), (q2_coh, q2_inc) = heat_currents(params, rho)
     w_coh, w_col = power(params, rho)
     u_dot = internal_energy_rate(params, rho)
-    if params.bath2.epsilon == 0.0:
-        c1 = coherence_rate_closed_form(params, 1)
-        c2 = coherence_rate_closed_form(params, 2)
-        r1 = q1_coh / params.bath1.T + c1
-        r2 = q2_coh / params.bath2.T + c2
-    else:
-        c1 = c2 = r1 = r2 = None
+    c1, c2 = _coherence_rates(params)
+    r1 = q1_coh / params.bath1.T + c1
+    r2 = q2_coh / params.bath2.T + c2
+    undefined = params.bath2.epsilon != 0.0
+    c1, c2, r1, r2 = (as_optional(np.where(undefined, np.nan, x)) for x in np.broadcast_arrays(c1, c2, r1, r2))
     return ThermoReport(
         q1_coh=q1_coh, q1_inc=q1_inc, q2_coh=q2_coh, q2_inc=q2_inc,
         w_coh=w_coh, w_col=w_col, u_dot=u_dot,

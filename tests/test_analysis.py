@@ -23,6 +23,7 @@ from qcmachine import (
     with_param,
 )
 from qcmachine.analysis import otto_cop, otto_efficiency
+from qcmachine.thermo import ThermoReport
 
 from conftest import random_machine
 
@@ -375,3 +376,105 @@ def test_max_efficiency_no_root_reports_bracket():
         eta_max, b2_root = max_efficiency(p, eps)
         assert 0.0 < b2_root < 1.0
         assert eta_max > 0.0
+
+
+# ---------------------------------------------------------------------------
+# array path against a per-point loop over the scalar functions
+# ---------------------------------------------------------------------------
+
+def _per_point(params, rel_tol=1e-9):
+    """Report, label and figures of merit of one machine through the scalar functions."""
+    report = thermo_report(params, steady_state_analytic(params).rho)
+    label = classify(report, params, rel_tol)
+    merits = {"efficiency": None, "cop": None, "hybrid_cooling_per_work": None, "hybrid_work_output": None}
+    if label.base is Regime.ENGINE:
+        merits["efficiency"] = otto_efficiency(params)
+    elif label.base in (Regime.REFRIGERATOR, Regime.HYBRID_REFRIGERATOR):
+        merits["cop"] = otto_cop(params)
+    if label.base is Regime.HYBRID_REFRIGERATOR:
+        q_cold = report.q1 if params.bath1.T <= params.bath2.T else report.q2
+        merits["hybrid_cooling_per_work"] = abs(q_cold) / abs(report.w)
+        merits["hybrid_work_output"] = -report.w
+    return report, label, merits
+
+
+def _assert_close(got, want, tol, what):
+    if want is None:
+        assert math.isnan(got), what
+    else:
+        assert abs(got - want) <= tol, f"{what}: {got!r} vs {want!r}"
+
+
+def _diagram_cases():
+    rng = np.random.default_rng(20261018)
+    cases = [
+        (cold_diagram_template(), AxisSpec("bath1.B", 0.8, 1.5, 15), AxisSpec("bath1.epsilon", 0.0, 1.0, 11)),
+        (hot_diagram_template(), AxisSpec("bath2.B", 0.5, 1.5, 13), AxisSpec("bath1.epsilon", 0.0, 1.0, 9)),
+    ]
+    for _ in range(2):
+        cases.append((random_machine(rng, eps2=0.0), AxisSpec("B", 0.5, 2.0, 7), AxisSpec("gamma", 0.5, 2.0, 6)))
+    for _ in range(2):
+        cases.append((random_machine(rng), AxisSpec("bath1.B", 0.5, 2.0, 7), AxisSpec("bath1.phi", 0.0, 6.0, 5)))
+    cases.append((random_machine(rng), AxisSpec("bath2.epsilon", 0.0, 0.8, 5), AxisSpec("bath2.T", 1.0, 5.0, 7)))
+    # phases only: the coherence rates do not vary over the grid
+    cases.append((random_machine(rng), AxisSpec("bath1.phi", 0.0, 6.0, 4), AxisSpec("bath2.phi", 0.0, 6.0, 3)))
+    cases.append((random_machine(rng, eps2=0.0), AxisSpec("bath1.phi", 0.0, 6.0, 4), AxisSpec("bath2.phi", 0.0, 6.0, 3)))
+    return cases
+
+
+@pytest.mark.parametrize("params, axis1, axis2", _diagram_cases())
+def test_sweep_diagram_matches_per_point_loop(params, axis1, axis2):
+    result = sweep_diagram(params, axis1, axis2)
+    for i, v1 in enumerate(axis1.values()):
+        for j, v2 in enumerate(axis2.values()):
+            p = with_param(with_param(params, axis1.key, v1), axis2.key, v2)
+            report, label, merits = _per_point(p)
+            tol = 1e-12 * p.gamma * max(p.B, p.bath1.B, p.bath2.B)
+            for name in ThermoReport.CSV_COLUMNS:
+                _assert_close(getattr(result.report, name)[i, j], getattr(report, name), tol, f"{name} at {i},{j}")
+            assert result.label.base[i, j] is label.base
+            assert result.label.beyond_carnot[i, j] == label.beyond_carnot
+            for name, want in merits.items():
+                _assert_close(getattr(result, name)[i, j], want, tol, f"{name} at {i},{j}")
+    # the derived per-point view carries the same values, with None where undefined
+    for rec in result.records[:5]:
+        p = with_param(with_param(params, axis1.key, rec.axis1_value), axis2.key, rec.axis2_value)
+        report, label, merits = _per_point(p)
+        assert rec.label == label
+        assert (rec.report.c_rate_1 is None) == (report.c_rate_1 is None)
+        assert {name: getattr(rec, name) is None for name in merits} == {k: v is None for k, v in merits.items()}
+
+
+@pytest.mark.parametrize("params, axis", [
+    (with_param(hot_diagram_template(), "bath1.epsilon", 0.1), AxisSpec("bath2.B", 0.93, 1.199, 60)),
+    (with_param(hot_diagram_template(), "bath1.epsilon", 0.0), AxisSpec("bath2.B", 0.5, 1.5, 41)),
+    (random_machine(np.random.default_rng(7)), AxisSpec("bath2.B", 0.5, 2.0, 41)),
+])
+def test_power_efficiency_curve_matches_per_point_loop(params, axis):
+    result = power_efficiency_curve(params, axis)
+    want = []
+    for v in axis.values():
+        p = with_param(params, axis.key, v)
+        report, label, _ = _per_point(p)
+        if label.base is Regime.ENGINE:
+            want.append((float(v), otto_efficiency(p), report.w))
+    assert want, "the case should contain engine points"
+    assert len(result.samples) == len(want)
+    assert result.skipped == axis.steps - len(want)
+    tol = 1e-12 * params.gamma * max(params.B, params.bath1.B, params.bath2.B)
+    for got, ref in zip(result.samples, want):
+        assert got[0] == ref[0]
+        assert all(abs(g - r) <= tol for g, r in zip(got[1:], ref[1:]))
+    best = max(want, key=lambda s: -s[2])
+    step = (axis.stop - axis.start) / (axis.steps - 1)
+    assert abs(result.field_at_max_power - best[0]) <= step
+
+
+def test_tolerance_reaches_sweeps():
+    p = with_param(cold_diagram_template(), "bath1.B", 0.9)
+    axis = AxisSpec("bath1.epsilon", 0.0, 0.5, 3)
+    loose = sweep_diagram(p, AxisSpec("bath1.B", 0.9, 1.0, 2), axis, rel_tol=0.5)
+    assert {r.label.base for r in loose.records} == {Regime.CARNOT_POINT}
+    assert np.all(np.isnan(loose.cop))
+    curve = power_efficiency_curve(hot_diagram_template(), AxisSpec("bath2.B", 0.93, 1.199, 20), rel_tol=0.5)
+    assert curve.samples == [] and curve.skipped == 20

@@ -18,3 +18,18 @@ def test_benchmark_quick_run_is_correct(workload):
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_benchmark_traced_quick_run_finds_every_layer():
+    # trace mode wraps every function perfbench/tracing.py names, so a renamed one fails here
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "sweep", "--seed", "0", "--quick",
+                          "--trace", "1"], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    calls = {name: m["value"] for name, m in result["metrics"].items() if name.endswith(".calls")}
+    assert calls["cli.main.calls"] == 3
+    # two diagrams and one curve, each classified in one array call
+    assert calls["analysis.sweep_diagram.calls"] == 2
+    assert calls["analysis.classify.calls"] == 3

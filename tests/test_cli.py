@@ -126,6 +126,18 @@ def test_diagram_outputs_and_determinism(cfg, tmp_path):
         assert overlay.read_bytes() == (tmp_path / f"d2.boundary_{name}.csv").read_bytes()
 
 
+def test_diagram_same_key_on_both_axes(cfg, tmp_path):
+    out = tmp_path / "d.csv"
+    assert main(["diagram", "--config", cfg(COLD_COHERENT), "--grid", "B:0.5:1.5:3", "--grid", "B:0.7:1.2:4",
+                 "--out", str(out)]) == 0
+    data = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert data[0][:3] == ["B", "B", "q1_coh"]
+    assert len(data) == 1 + 3 * 4 and all(len(row) == len(data[0]) for row in data)
+    # the second axis sets the field
+    assert [float(row[1]) for row in data[1:5]] == [float(row[1]) for row in data[5:9]]
+    assert [row[2] for row in data[1:5]] == [row[2] for row in data[5:9]]
+
+
 def test_diagram_requires_two_grids(cfg, tmp_path, capsys):
     rc = main(["diagram", "--config", cfg(COLD_COHERENT), "--grid", "bath1.B:0.8:1.5:5",
                "--out", str(tmp_path / "d.csv")])
@@ -210,16 +222,83 @@ def test_currents_csv_format(cfg, tmp_path):
     assert q1 == pytest.approx(0.0862, abs=1e-3)
 
 
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_diagram_json_format(cfg, tmp_path):
     out = tmp_path / "diagram.json"
     rc = main(["diagram", "--config", cfg(COLD_NO_COHERENCE), "--format", "json",
                "--grid", "bath1.B:0.8:1.5:8", "--grid", "bath1.epsilon:0:1:5",
                "--out", str(out)])
     assert rc == 0
-    doc = json.loads(out.read_text())
+    doc = _strict_json(out.read_text())
     assert len(doc["records"]) == 40
     assert set(doc["boundaries"]) == {"b_equal", "n_equal", "epsilon_star"}
     assert doc["records"][0]["report"]["q1_inc"] is not None
+    regimes = {r["regime"] for r in doc["records"]}
+    assert {"engine", "refrigerator", "hybrid_refrigerator"} <= regimes
+    for r in doc["records"]:
+        assert (r["efficiency"] is None) == (r["regime"] != "engine")
+        assert (r["cop"] is None) == (r["regime"] not in ("refrigerator", "hybrid_refrigerator"))
+        assert (r["hybrid_cooling_per_work"] is None) == (r["regime"] != "hybrid_refrigerator")
+        assert (r["hybrid_work_output"] is None) == (r["regime"] != "hybrid_refrigerator")
+
+
+def test_diagram_json_nulls_rates_with_bath2_coherence(cfg, tmp_path):
+    out = tmp_path / "diagram.json"
+    rc = main(["diagram", "--config", cfg(COLD_COHERENT), "--format", "json",
+               "--grid", "bath2.epsilon:0:0.2:3", "--grid", "bath1.phi:0:3:2", "--out", str(out)])
+    assert rc == 0
+    for r in _strict_json(out.read_text())["records"]:
+        single = r["axis1_value"] == 0.0
+        assert (r["report"]["c_rate_1"] is not None) == single
+        assert (r["report"]["bound_residual_2"] is not None) == single
+
+
+@pytest.mark.parametrize("command", ["diagram", "curve"])
+def test_tolerance_applies_like_currents(cfg, tmp_path, command):
+    config = cfg(COLD_COHERENT)
+    for tolerance, regime in (("1e-9", "refrigerator"), ("0.5", "carnot_point")):
+        cur = tmp_path / "currents.json"
+        assert main(["currents", "--config", config, "--tolerance", tolerance, "--out", str(cur)]) == 0
+        assert json.loads(cur.read_text())["regime"] == regime
+        out = tmp_path / f"{command}.json"
+        grids = (["--grid", "bath1.B:0.9:1.0:2", "--grid", "bath1.epsilon:0.3:0.4:2"] if command == "diagram"
+                 else ["--grid", "bath2.B:0.6:1.2:4"])
+        assert main([command, "--config", config, "--format", "json", "--tolerance", tolerance,
+                     *grids, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        if command == "diagram":
+            # the first grid point is the configured machine
+            assert doc["records"][0]["regime"] == regime
+        elif regime == "carnot_point":
+            assert doc["samples"] == [] and doc["skipped_non_engine_points"] == 4
+
+
+@pytest.mark.parametrize("line, message", [
+    ("bath1.epsilon = nan", "epsilon must be finite"),
+    ("bath1.T = inf", "T must be finite"),
+    ("bath1.B = 1e-320", "thermal occupation"),
+])
+def test_non_finite_inputs_exit_2(cfg, tmp_path, capsys, line, message):
+    key = line.split(" = ")[0]
+    text = "\n".join(ln for ln in COLD_COHERENT.splitlines() if not ln.startswith(key + " ")) + f"\n{line}\n"
+    out = tmp_path / "currents.json"
+    assert main(["currents", "--config", cfg(text), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["gamma:0:2:5", "bath1.T:-1:2:4", "bath1.epsilon:0:inf:3"])
+def test_diagram_rejects_invalid_grid_points(cfg, tmp_path, capsys, grid):
+    rc = main(["diagram", "--config", cfg(COLD_COHERENT), "--grid", grid, "--grid", "B:0.5:1.5:3",
+               "--out", str(tmp_path / "d.csv")])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_unsupported_format_exits_2(cfg, tmp_path, capsys):

@@ -216,3 +216,29 @@ def test_get_and_with_param(cold_coherence_params):
     assert cold_coherence_params.bath1.epsilon == 0.3
     with pytest.raises(ConfigError, match="unknown parameter key"):
         get_param(cold_coherence_params, "bath3.T")
+
+
+def test_array_fields_validated_elementwise():
+    with pytest.raises(ConfigError, match="T must be finite and > 0, got -1.0"):
+        BathSpec(T=np.array([1.0, -1.0, 2.0]), B=1.0)
+    with pytest.raises(ConfigError, match="thermal occupation"):
+        BathSpec(T=2.5, B=np.array([0.9, 1e-320]))
+    bath = BathSpec(T=2.5, B=1.0)
+    with pytest.raises(ConfigError, match="gamma must be finite and > 0, got 0.0"):
+        MachineParams(B=1.0, gamma=np.linspace(0.0, 2.0, 5), bath1=bath, bath2=bath)
+    with pytest.raises(ConfigError, match="phi must be finite"):
+        BathSpec(T=2.5, B=1.0, phi=np.array([0.0, np.inf]))
+
+
+def test_array_closed_forms_match_scalar_calls(cold_coherence_params):
+    fields = np.linspace(0.5, 2.0, 7)
+    grid = with_param(cold_coherence_params, "bath1.B", fields)
+    assert isinstance(thermal_occupation(grid.bath1), np.ndarray)
+    assert isinstance(thermal_occupation(cold_coherence_params.bath1), float)
+    assert isinstance(coupling_strength(cold_coherence_params.bath1, 1.0), float)
+    for k, b1 in enumerate(fields):
+        point = with_param(cold_coherence_params, "bath1.B", b1)
+        assert thermal_occupation(grid.bath1)[k] == thermal_occupation(point.bath1)
+        assert coupling_strength(grid.bath1, grid.gamma)[k] == coupling_strength(point.bath1, point.gamma)
+    assert with_param(cold_coherence_params, "bath1.phi", np.array([2.0 * math.pi + 0.3]))\
+        .bath1.phi[0] == pytest.approx(0.3)

@@ -14,6 +14,7 @@ from qcmachine import (
     common_factor_V,
     common_factor_V2,
     equivalent_single_bath_coherence,
+    generator_apply,
     heat_currents,
     heat_currents_trace,
     internal_energy_rate,
@@ -28,6 +29,7 @@ from qcmachine import (
     with_param,
 )
 from qcmachine.collision import DEFAULT_TAU_LADDER
+from qcmachine.linalg import SIGMA_Z
 from qcmachine.thermo import ThermoReport
 
 from conftest import random_machine, random_qubit_state
@@ -72,6 +74,17 @@ def test_equilibrium_zero_currents(rng):
         (q1c, q1i), (q2c, q2i) = heat_currents(p, rho)
         w = sum(power(p, rho))
         assert max(abs(q1c), abs(q1i), abs(q2c), abs(q2i), abs(w)) < 1e-13
+
+
+def test_internal_energy_rate_matches_generator_trace(rng):
+    # closed form against tr(B sigma_z L(rho)) through the master-equation generator
+    worst = 0.0
+    for _ in range(200):
+        p = random_machine(rng)
+        rho = random_qubit_state(rng)
+        traced = np.trace(p.B * SIGMA_Z @ generator_apply(p, rho)).real
+        worst = max(worst, abs(internal_energy_rate(p, rho) - traced))
+    assert worst < 1e-12
 
 
 def test_first_law_arbitrary_states(rng):
