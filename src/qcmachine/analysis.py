@@ -17,10 +17,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import NumericalError
 from .lindblad import steady_state_analytic
 from .model import MachineParams, as_optional, as_result, get_param, thermal_occupation, with_param
-from .thermo import ThermoReport, thermo_report
+from .thermo import ThermoReport, power, thermo_report
 
 DEFAULT_REGIME_RTOL = 1e-9
 
@@ -335,8 +334,9 @@ def power_efficiency_curve(params: MachineParams, axis: AxisSpec,
     """(efficiency, power) along a field sweep, keeping engine points only.
 
     The grid is one array evaluation. The maximum of the power output -W over
-    the engine region is refined by golden-section search between the
-    neighbours of the best grid point.
+    the engine region is refined by k-section between the neighbours of the
+    best grid point: each pass evaluates the power at 33 evenly spaced fields
+    in one array call.
     """
     values = axis.values()
     p = with_param(params, axis.key, values)
@@ -350,78 +350,79 @@ def power_efficiency_curve(params: MachineParams, axis: AxisSpec,
         return CurveResult(samples=[], skipped=skipped, field_at_max_power=None,
                            max_power_output=None, eta_at_max_power=None)
 
-    def output(v: float) -> float:
+    def output(v: np.ndarray) -> np.ndarray:
         p = with_param(params, axis.key, v)
-        return -thermo_report(p, steady_state_analytic(p).rho).w
+        w_coh, w_col = power(p, steady_state_analytic(p).rho)
+        return -(w_coh + w_col)
 
     best = int(np.argmax(np.where(engine, -w, -np.inf)))  # the first best engine point
     lo = values[max(best - 1, 0)]
     hi = values[min(best + 1, len(values) - 1)]
-    v_star = _golden_max(output, float(lo), float(hi))
-    p_star = with_param(params, axis.key, v_star)
+    v_star, out_star = _k_section_max(output, float(lo), float(hi))
     return CurveResult(
         samples=samples,
         skipped=skipped,
         field_at_max_power=v_star,
-        max_power_output=output(v_star),
-        eta_at_max_power=otto_efficiency(p_star),
+        max_power_output=out_star,
+        eta_at_max_power=otto_efficiency(with_param(params, axis.key, v_star)),
     )
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _k_section_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """(x, f(x)) at the maximum of f on [lo, hi], for f unimodal there and evaluated on arrays.
+
+    Each pass evaluates f at 33 evenly spaced x, ends included, and keeps the
+    two neighbours of the best one: the bracket shrinks 16-fold. With an odd
+    count the old best point is the new middle one, so the best value never
+    falls. Stops once the bracket is below 1e-12 * max(1, |lo|, |hi|), a width
+    that still holds 33 distinct doubles, so every pass shrinks the bracket.
+    """
+    while True:
+        x = np.linspace(lo, hi, 33)
+        y = f(x)
+        i = int(np.argmax(y))
+        if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
+            return float(x[i]), float(y[i])
+        lo, hi = float(x[max(i - 1, 0)]), float(x[min(i + 1, 32)])
 
 
 def max_efficiency(params: MachineParams, epsilon1: float) -> tuple[float, float]:
     """Largest engine efficiency reachable at fixed hot-bath coherence amplitude.
 
     Valid for a hot coherent bath (T1 > T2). The engine window closes at the
-    field B2* where V changes sign, i.e. where eps1*(B2) = epsilon1; B2* is
-    found by bisection and the efficiency bound is the field ratio there.
-    Returns (eta_max, b2_root).
+    field B2* where V changes sign, i.e. where eps1*(B2) = epsilon1. With
+    x = n2, a = 1 + n1 and c = epsilon1^2 (1 + 2 n1) gamma that condition is
+    the cubic (x - n1)(B^2 + gamma^2 (a + x)^2) = c (a + x), which has exactly
+    one root x > n1; then B2* = (T2/2) log1p(1/x) and the efficiency bound is
+    the field ratio there. Returns (eta_max, b2_root), both broadcast over
+    epsilon1.
     """
     if params.bath1.T <= params.bath2.T:
         raise ValueError("max_efficiency assumes coherence in the hot bath (T1 > T2)")
-    if not epsilon1 > 0:
+    eps1 = np.asarray(epsilon1, dtype=float)
+    if not np.all(eps1 > 0):
         raise ValueError(f"epsilon1 must be > 0, got {epsilon1}")
-    p0 = with_param(params, "bath1.epsilon", epsilon1)
-
-    def gap(b2: float) -> float:
-        eps = epsilon_star(with_param(p0, "bath2.B", b2))
-        return (eps if eps is not None else 0.0) - epsilon1
-
-    # eps1* falls from +inf at B2 -> 0 to zero at n1 = n2
-    hi = params.bath1.B * params.bath2.T / params.bath1.T * (1.0 - 1e-12)
-    lo = 1e-6 * hi
-    g_lo, g_hi = gap(lo), gap(hi)
-    if not (g_lo > 0.0 > g_hi):
-        raise NumericalError(
-            f"no V-zero crossing for epsilon1 = {epsilon1:g}: "
-            f"scanned B2 in [{lo:.6g}, {hi:.6g}] with gap signs ({g_lo:+.3g}, {g_hi:+.3g})"
-        )
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if gap(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-        if b - a < 1e-15:
-            break
-    b2_root = 0.5 * (a + b)
-    eta_max = 1.0 - min(params.bath1.B, b2_root) / max(params.bath1.B, b2_root)
-    return eta_max, b2_root
+    n1 = thermal_occupation(params.bath1)
+    a, d = 1.0 + n1, 1.0 + 2.0 * n1
+    g2, b2 = params.gamma**2, params.B**2
+    c = eps1**2 * d * params.gamma
+    # y = a + x solves (y - d)(B^2 + gamma^2 y^2) = c y, the monic cubic y^3 - d y^2 + k1 y + k0 = 0,
+    # whose other two roots sum to d - y < 0 and multiply to a positive number: the sought root is the
+    # largest real one. Depressed by y = d/3 + t to t^3 + P t + Q = 0:
+    k1, k0 = (b2 - c) / g2, -d * b2 / g2
+    P = k1 - d**2 / 3.0
+    Q = -2.0 * d**3 / 27.0 + d * k1 / 3.0 + k0
+    disc = (Q / 2.0) ** 2 + (P / 3.0) ** 3
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = np.cbrt(-Q / 2.0 - np.copysign(np.sqrt(np.maximum(disc, 0.0)), Q))  # Cardano, one real root
+        r = np.sqrt(np.maximum(-P / 3.0, 0.0))                                   # Viete, three real roots
+        t = np.where(disc > 0.0, u - P / (3.0 * u),
+                     2.0 * r * np.cos(np.arccos(np.clip(-Q / (2.0 * r**3), -1.0, 1.0)) / 3.0))
+    x = d / 3.0 + t - a
+    # one Newton step on the factored cubic in x restores the digits lost to the arccos near a double
+    # root and to the shift y -> x when n1 is small
+    y = a + x
+    x = x - ((x - n1) * (b2 + g2 * y**2) - c * y) / (b2 + g2 * y**2 + 2.0 * g2 * y * (x - n1) - c)
+    b2_root = 0.5 * params.bath2.T * np.log1p(1.0 / x)
+    eta_max = 1.0 - np.minimum(params.bath1.B, b2_root) / np.maximum(params.bath1.B, b2_root)
+    return as_result(eta_max), as_result(b2_root)

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 invariant violation, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -101,8 +102,11 @@ def _header_lines(params: MachineParams, command: str, extra: dict | None = None
 def _write_text(out: str | None, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out!r}: {exc}") from exc
 
 
 def _json_payload(params: MachineParams, command: str, payload: dict) -> str:
@@ -275,8 +279,7 @@ def _cmd_diagram(args) -> int:
         lines = [f"# {h}" for h in _header_lines(params, "diagram", {"boundary": name})]
         lines.append(f"{result.axis1.key},{result.axis2.key}")
         overlay = base.with_name(base.stem + f".boundary_{name}" + base.suffix)
-        overlay.write_text("\n".join(lines) + "\n" + _csv_rows(f"{_FLOAT_FMT},{_FLOAT_FMT}", series.T),
-                           encoding="utf-8")
+        _write_text(str(overlay), "\n".join(lines) + "\n" + _csv_rows(f"{_FLOAT_FMT},{_FLOAT_FMT}", series.T))
     return 0
 
 
@@ -327,7 +330,10 @@ def _cmd_collide(args) -> int:
     header = _header_lines(params, "collide", {
         "tau": _fmt(tau), "collisions": args.collisions, "start": args.start,
     })
-    write_trajectory_csv(trajectory, args.out, header_lines=header)
+    try:
+        write_trajectory_csv(trajectory, args.out, header_lines=header)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {args.out!r}: {exc}") from exc
     return 0
 
 
@@ -490,7 +496,23 @@ def _cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qcmachine",
         description="Steady-state thermodynamics of a qubit machine driven by coherent collisional baths",
@@ -503,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="output format (informational; each command has a native format)")
-        p.add_argument("--tolerance", type=float, default=1e-9,
+        p.add_argument("--tolerance", type=_tolerance, default=1e-9,
                        help="relative tolerance for regime classification")
 
     p = sub.add_parser("steady-state", help="analytic and numeric steady state")
@@ -527,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("collide", help="finite-time collision trajectory")
     common(p)
     p.add_argument("--tau-ladder", help="comma-separated collision times; the first is used")
-    p.add_argument("--collisions", type=int, default=2000, help="number of collisions")
+    p.add_argument("--collisions", type=_positive_int, default=2000, help="number of collisions")
     p.add_argument("--start", choices=("mixed", "steady"), default="mixed",
                    help="initial state: maximally mixed or the analytic steady state")
     p.set_defaults(func=_cmd_collide)
@@ -542,8 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

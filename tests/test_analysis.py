@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +21,15 @@ from qcmachine import (
     sweep_diagram,
     thermal_occupation,
     thermo_report,
+    params_from_config,
     with_param,
 )
 from qcmachine.analysis import otto_cop, otto_efficiency
 from qcmachine.thermo import ThermoReport
 
 from conftest import random_machine
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def cold_diagram_template():
@@ -363,19 +367,48 @@ def test_max_efficiency_preconditions(cold_coherence_params):
         max_efficiency(hot_diagram_template(), 0.0)
 
 
-def test_max_efficiency_no_root_reports_bracket():
-    # huge coherence: eps1*(B2) stays below it across the bracket interior? No:
-    # eps1* diverges at B2 -> 0, so a root always exists; instead break the bracket
-    # by asking within a machine whose occupations cannot cross (T1 < T2 swapped is
-    # covered above). Use an amplitude below eps1* everywhere near hi but above near lo:
-    # the error path needs gap signs to agree, so probe an extreme amplitude with a
-    # tiny bracket via monkeypatched temperatures is overkill; assert the root exists
-    # for a representative spread of amplitudes instead.
+def test_max_efficiency_root_exists_for_every_amplitude():
     p = hot_diagram_template()
-    for eps in (1e-4, 0.05, 0.3, 1.0, 3.0):
+    for eps in (1e-4, 0.05, 0.3, 1.0, 3.0, 30.0):
         eta_max, b2_root = max_efficiency(p, eps)
         assert 0.0 < b2_root < 1.0
         assert eta_max > 0.0
+
+
+def _bisected_b2_root(params, eps1):
+    """B2 where eps1*(B2) = eps1, by bisection on epsilon_star; eps1* falls from +inf at B2 -> 0 to 0 at n1 = n2."""
+    p0 = with_param(params, "bath1.epsilon", eps1)
+    a, b = 0.0, params.bath1.B * params.bath2.T / params.bath1.T
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
+            break
+        if epsilon_star(with_param(p0, "bath2.B", mid)) > eps1:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def _hot_bath_machines():
+    rng = np.random.default_rng(20261019)
+    machines = [params_from_config((CONFIGS / "hot_bath.cfg").read_text())]
+    while len(machines) < 9:
+        p = random_machine(rng)
+        if p.bath1.T > p.bath2.T:
+            machines.append(p)
+    return machines
+
+
+@pytest.mark.parametrize("params", _hot_bath_machines())
+def test_max_efficiency_closed_form_matches_bisection(params):
+    eps1 = np.linspace(0.05, 1.5, 12)
+    eta_max, b2_root = max_efficiency(params, eps1)  # one array call over the amplitudes
+    for k, eps in enumerate(eps1):
+        want = _bisected_b2_root(params, eps)
+        assert abs(b2_root[k] - want) <= 1e-12 * want, f"eps1 = {eps}"
+        assert eta_max[k] == pytest.approx(1.0 - want / params.bath1.B, rel=1e-12)
+        assert max_efficiency(params, float(eps)) == pytest.approx((eta_max[k], b2_root[k]), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +478,14 @@ def test_sweep_diagram_matches_per_point_loop(params, axis1, axis2):
         assert {name: getattr(rec, name) is None for name in merits} == {k: v is None for k, v in merits.items()}
 
 
-@pytest.mark.parametrize("params, axis", [
+_CURVE_CASES = [
     (with_param(hot_diagram_template(), "bath1.epsilon", 0.1), AxisSpec("bath2.B", 0.93, 1.199, 60)),
     (with_param(hot_diagram_template(), "bath1.epsilon", 0.0), AxisSpec("bath2.B", 0.5, 1.5, 41)),
     (random_machine(np.random.default_rng(7)), AxisSpec("bath2.B", 0.5, 2.0, 41)),
-])
+]
+
+
+@pytest.mark.parametrize("params, axis", _CURVE_CASES)
 def test_power_efficiency_curve_matches_per_point_loop(params, axis):
     result = power_efficiency_curve(params, axis)
     want = []
@@ -468,6 +504,39 @@ def test_power_efficiency_curve_matches_per_point_loop(params, axis):
     best = max(want, key=lambda s: -s[2])
     step = (axis.stop - axis.start) / (axis.steps - 1)
     assert abs(result.field_at_max_power - best[0]) <= step
+
+
+def _curve_cases():
+    rng = np.random.default_rng(20261020)
+    cases = _CURVE_CASES + [
+        # fields of 1e5, where doubles are spaced wider than an absolute 1e-12 bracket
+        (MachineParams(B=1e5, gamma=1.0, bath1=BathSpec(T=3e5, B=1.2e5, epsilon=0.1), bath2=BathSpec(T=2.5e5, B=1e5)),
+         AxisSpec("bath2.B", 9e4, 1.199e5, 50)),
+    ]
+    axis = AxisSpec("bath2.B", 0.5, 2.0, 41)
+    while len(cases) < 7:
+        p = random_machine(rng)
+        if any(label_at(with_param(p, axis.key, v)).base is Regime.ENGINE for v in axis.values()):
+            cases.append((p, axis))
+    return cases
+
+
+@pytest.mark.parametrize("params, axis", _curve_cases())
+def test_curve_maximum_matches_dense_scalar_scan(params, axis):
+    result = power_efficiency_curve(params, axis)
+    assert result.field_at_max_power is not None, "the case should contain engine points"
+
+    def output(v):
+        p = with_param(params, axis.key, v)
+        return -thermo_report(p, steady_state_analytic(p).rho).w
+
+    values = axis.values()
+    best = int(np.flatnonzero(values == max(result.samples, key=lambda s: -s[2])[0])[0])
+    dense = np.linspace(values[max(best - 1, 0)], values[min(best + 1, len(values) - 1)], 2001)
+    tol = 1e-14 * params.gamma * max(params.B, params.bath1.B, params.bath2.B)
+    assert result.max_power_output >= max(output(v) for v in dense) - tol
+    assert abs(result.max_power_output - output(result.field_at_max_power)) <= tol
+    assert result.eta_at_max_power == otto_efficiency(with_param(params, axis.key, result.field_at_max_power))
 
 
 def test_tolerance_reaches_sweeps():

@@ -33,3 +33,6 @@ def test_benchmark_traced_quick_run_finds_every_layer():
     # two diagrams and one curve, each classified in one array call
     assert calls["analysis.sweep_diagram.calls"] == 2
     assert calls["analysis.classify.calls"] == 3
+    # one current report per command, and no scalar search loop calling with_param point by point
+    assert calls["thermo.thermo_report.calls"] == 3
+    assert calls["model.with_param.calls"] <= 20

@@ -305,3 +305,46 @@ def test_unsupported_format_exits_2(cfg, tmp_path, capsys):
     rc = main(["steady-state", "--config", cfg(COLD_COHERENT), "--format", "csv", "--out", "-"])
     assert rc == 2
     assert "supports only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_collide_rejects_non_positive_collisions(cfg, tmp_path, capsys, count):
+    out = tmp_path / "traj.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["collide", "--config", cfg(COLD_COHERENT), "--collisions", count, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--collisions: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_tolerance_must_be_finite_and_non_negative(cfg, tmp_path, capsys, tolerance):
+    out = tmp_path / "currents.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["currents", "--config", cfg(COLD_COHERENT), "--tolerance", tolerance, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--tolerance: must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("currents", []),
+    ("diagram", ["--grid", "bath1.B:0.8:1.5:3", "--grid", "bath1.epsilon:0:1:3"]),
+    ("collide", ["--collisions", "5"]),
+])
+def test_out_into_missing_directory_exits_2(cfg, tmp_path, capsys, command, extra):
+    out = tmp_path / "missing" / "out.csv"
+    assert main([command, "--config", cfg(COLD_COHERENT), *extra, "--out", str(out)]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+
+
+def test_cached_parser_carries_no_state_between_calls(cfg, tmp_path):
+    config = cfg(HOT_BEYOND_CARNOT)
+    outputs = []
+    for k, grid in enumerate(("bath2.B:0.9:1.1:7", "bath2.B:0.8:1.2:11", "bath2.B:0.9:1.1:7")):
+        out = tmp_path / f"curve{k}.csv"
+        assert main(["curve", "--config", config, "--grid", grid, "--out", str(out)]) == 0
+        outputs.append(out.read_text())
+        assert f"# grid = {grid}" in outputs[-1].splitlines()
+    assert outputs[0] == outputs[2] != outputs[1]
+    assert cli._build_parser() is cli._build_parser()
